@@ -29,7 +29,7 @@ import numpy as np
 import repro.obs as obs
 from repro.engine import packed as _packed
 from repro.engine.packed import PackedMatrix, pack_matrix
-from repro.nist.common import BitsLike, pattern_counts, to_bits
+from repro.nist.common import BitsLike, to_bits
 
 __all__ = [
     "SequenceContext",
@@ -87,26 +87,6 @@ def _window_weights(m: int) -> np.ndarray:
     return 1 << np.arange(m - 1, -1, -1)
 
 
-def _matrix_window_values(matrix: np.ndarray, m: int) -> np.ndarray:
-    """Integer value of every overlapping ``m``-bit window, per row.
-
-    ``matrix`` has shape ``(rows, length)``; the result has shape
-    ``(rows, length - m + 1)``.  Computed with the MSB-first Horner rule
-    ``value = value * 2 + bit`` applied in place so the hot loop touches one
-    narrow accumulator array instead of allocating a temporary per offset.
-    """
-    rows, length = matrix.shape
-    num_windows = length - m + 1
-    if num_windows <= 0:
-        raise ValueError(f"window length m={m} exceeds sequence length n={length}")
-    dtype = np.int32 if m <= 15 else np.int64
-    values = np.zeros((rows, num_windows), dtype=dtype)
-    for offset in range(m):
-        np.left_shift(values, 1, out=values)
-        values += matrix[:, offset : offset + num_windows]
-    return values
-
-
 def _matrix_block_longest_one_runs(matrix: np.ndarray, block_length: int) -> np.ndarray:
     """Longest run of ones inside each ``block_length``-bit block, per row.
 
@@ -145,9 +125,14 @@ class SequenceContext:
     Tests draw their raw statistics (the values the paper's hardware counters
     would hold) from the context; each statistic is derived at most once per
     sequence and shared by every test that needs it — e.g. the serial and
-    approximate-entropy tests share the 3-/4-bit cyclic pattern counters, the
-    two template tests share the 9-bit window values, and the frequency,
-    runs and FIPS monobit tests share the ones count.
+    approximate-entropy tests share the 4-bit cyclic pattern counters (and
+    the 3-/2-bit counters folded from them), and the frequency, runs and
+    FIPS monobit tests share the ones count.
+
+    Pattern and template counters always come from a
+    :class:`BatchContext`'s packed kernels: a batch-backed context reads its
+    row, and a standalone context wraps its bits in a one-row batch on first
+    use.
 
     Parameters
     ----------
@@ -169,8 +154,8 @@ class SequenceContext:
         self._block_sums: Dict[int, np.ndarray] = {}
         self._block_longest: Dict[int, np.ndarray] = {}
         self._pattern_counts: Dict[Tuple[int, bool], np.ndarray] = {}
-        self._window_values: Dict[int, np.ndarray] = {}
         self._block_value_counts: Dict[int, np.ndarray] = {}
+        self._solo: Optional["BatchContext"] = None
 
     # ------------------------------------------------------------- basics
     @property
@@ -316,24 +301,34 @@ class SequenceContext:
         return self._block_value_counts[block_length]
 
     # ------------------------------------------------------------- pattern stats
+    def _counter_batch(self) -> "BatchContext":
+        """The batch serving this sequence's pattern and template counters.
+
+        A standalone context wraps its bits in a one-row batch on first use,
+        so the counters have a single (packed) implementation.
+        """
+        if self._batch is None:
+            if self._solo is None:
+                self._solo = BatchContext(self.bits[np.newaxis, :])
+            return self._solo
+        return self._batch
+
     def pattern_counts(self, m: int, *, cyclic: bool = True) -> np.ndarray:
         """Occurrences of every overlapping ``m``-bit pattern (2^m entries)."""
         key = (m, cyclic)
         if key not in self._pattern_counts:
-            if self._batch is not None and m > 0:
-                self._pattern_counts[key] = self._batch.pattern_counts(m, cyclic=cyclic)[self._row]
-            else:
-                self._pattern_counts[key] = pattern_counts(self.bits, m, cyclic=cyclic)
+            self._pattern_counts[key] = self._counter_batch().pattern_counts(
+                m, cyclic=cyclic
+            )[self._row]
         return self._pattern_counts[key]
 
-    def window_values(self, m: int) -> np.ndarray:
-        """Integer value of every (non-cyclic) ``m``-bit window (template tests)."""
-        if m not in self._window_values:
-            if self._batch is not None:
-                self._window_values[m] = self._batch.window_values(m)[self._row]
-            else:
-                self._window_values[m] = _matrix_window_values(self.bits[np.newaxis, :], m)[0]
-        return self._window_values[m]
+    def template_block_counts(
+        self, template: Sequence[int], block_length: int, num_blocks: int
+    ) -> np.ndarray:
+        """Occurrences of ``template`` wholly inside each block (template tests)."""
+        return self._counter_batch().template_block_counts(
+            template, block_length, num_blocks
+        )[self._row]
 
 
 class BatchContext:
@@ -346,9 +341,12 @@ class BatchContext:
     With the default ``backend="packed"`` the cheap shared statistics (ones,
     block ones, runs, longest run per block, walk extremes) run on the
     64-bits-per-word :mod:`repro.engine.packed` kernels over a memoized
-    packed view of the matrix; everything else falls back to the uint8
-    reference paths.  ``backend="uint8"`` forces the reference paths
-    throughout.  The two backends are bit-identical statistic for statistic.
+    packed view of the matrix; ``backend="uint8"`` computes them on the
+    uint8 reference paths instead.  Cyclic pattern counts and per-block
+    template counts (tests 7, 8, 11, 12) have one implementation, the packed
+    counter kernels, on both backends — a uint8 batch packs on demand, as
+    the heavy kernels do.  The two backends are bit-identical statistic for
+    statistic.
     The constructor also accepts a prepacked
     :class:`~repro.engine.packed.PackedMatrix` directly, in which case the
     uint8 matrix is only materialised if a non-packed statistic needs it.
@@ -405,7 +403,7 @@ class BatchContext:
         self._block_sums: Dict[int, np.ndarray] = {}
         self._block_longest: Dict[int, np.ndarray] = {}
         self._pattern_counts: Dict[Tuple[int, bool], np.ndarray] = {}
-        self._window_values: Dict[int, np.ndarray] = {}
+        self._template_counts: Dict[Tuple[Tuple[int, ...], int, int], np.ndarray] = {}
         self._block_value_counts: Dict[int, np.ndarray] = {}
         self._block_sums_provider: Optional[BlockProvider] = None
         self._block_longest_provider: Optional[BlockProvider] = None
@@ -610,28 +608,70 @@ class BatchContext:
         return self._block_value_counts[block_length]
 
     def pattern_counts(self, m: int, *, cyclic: bool = True) -> np.ndarray:
+        """``(num_sequences, 2**m)`` overlapping ``m``-bit pattern counts.
+
+        Cyclic counts come from :func:`~repro.engine.packed.cyclic_pattern_counts`
+        or, exactly, by folding the cached counts of a longer pattern: the
+        ``(m-1)``-bit prefix of each cyclic window is itself a cyclic window,
+        so ``c[m-1] = c[m][:, 0::2] + c[m][:, 1::2]``.  The serial test's
+        ``m, m-1, m-2`` and approximate entropy's ``m, m+1`` therefore cost
+        one kernel call per batch.  Non-cyclic counts drop the ``m - 1``
+        windows that wrap from the tail into the head.
+        """
         key = (m, cyclic)
         if key not in self._pattern_counts:
-            if m <= 0:
-                raise ValueError("pattern length m must be positive for batch counts")
-            counts = self._bincount_rows(self.window_values(m), 1 << m)
-            if cyclic and m > 1:
-                # The cyclic convention adds the m-1 windows wrapping from the
-                # tail into the head; their values come from the narrow
-                # (rows, 2(m-1)) seam matrix instead of a full extended copy.
-                seam = np.concatenate(
-                    [self.matrix[:, -(m - 1) :], self.matrix[:, : m - 1]], axis=1
-                )
-                counts = counts + self._bincount_rows(
-                    _matrix_window_values(seam, m), 1 << m
-                )
+            if m < 0:
+                raise ValueError("pattern length m must be non-negative")
+            if m > self.n and self.n > 0:
+                raise ValueError(f"pattern length m={m} exceeds sequence length n={self.n}")
+            if m == 0:
+                counts = np.full((self.num_sequences, 1), self.n, dtype=np.int64)
+            elif self.n == 0:
+                counts = np.zeros((self.num_sequences, 1 << m), dtype=np.int64)
+            elif cyclic:
+                counts = self._cyclic_pattern_counts(m)
+            else:
+                counts = self.pattern_counts(m) - self._wrap_pattern_counts(m)
             self._pattern_counts[key] = counts
         return self._pattern_counts[key]
 
-    def window_values(self, m: int) -> np.ndarray:
-        if m not in self._window_values:
-            self._window_values[m] = _matrix_window_values(self.matrix, m)
-        return self._window_values[m]
+    def _cyclic_pattern_counts(self, m: int) -> np.ndarray:
+        longer = [k for (k, cyclic) in self._pattern_counts if cyclic and k > m]
+        if not longer:
+            _KERNEL_CALLS.inc(kernel="cyclic_pattern_counts")
+            return _packed.cyclic_pattern_counts(self.packed(), m)
+        counts = self._pattern_counts[(min(longer), True)]
+        for _ in range(min(longer) - m):
+            counts = counts[:, 0::2] + counts[:, 1::2]
+        return counts
+
+    def _wrap_pattern_counts(self, m: int) -> np.ndarray:
+        """Counts of the ``m - 1`` cyclic windows that wrap past the last bit."""
+        n = self.n
+        seam = _packed.stream_bits(
+            self.packed(), np.r_[n - m + 1 : n, 0 : m - 1].astype(np.int64)
+        ).astype(np.int64)
+        values = np.zeros((self.num_sequences, m - 1), dtype=np.int64)
+        for offset in range(m):
+            values = 2 * values + seam[:, offset : offset + m - 1]
+        return self._bincount_rows(values, 1 << m)
+
+    def template_block_counts(
+        self, template: Sequence[int], block_length: int, num_blocks: int
+    ) -> np.ndarray:
+        """``(num_sequences, num_blocks)`` occurrences of ``template`` per block.
+
+        A window counts for block ``b`` when it lies wholly inside it, and
+        occurrences may overlap (the overlapping template test's count; for
+        an aperiodic template also the non-overlapping test's).
+        """
+        key = (tuple(int(bit) for bit in template), block_length, num_blocks)
+        if key not in self._template_counts:
+            _KERNEL_CALLS.inc(kernel="template_block_counts")
+            self._template_counts[key] = _packed.template_block_counts(
+                self.packed(), key[0], block_length, num_blocks
+            )
+        return self._template_counts[key]
 
     def _bincount_rows(self, values: np.ndarray, num_bins: int) -> np.ndarray:
         """Per-row bincount via one flat bincount with row offsets."""

@@ -7,7 +7,10 @@ hardware would.  This module closes that gap: a bit matrix is packed row by
 row into ``uint64`` words (:func:`pack_matrix`) and the cheap shared
 statistics — ones count, per-block ones, transition count, longest run of
 ones per block, random-walk extremes — are computed directly on the words
-with popcount and shift/mask arithmetic, touching 1/8th of the bytes.
+with popcount and shift/mask arithmetic, touching 1/8th of the bytes.  The
+cyclic pattern counters (serial, approximate entropy) and per-block
+template counters (both template tests) run on funnel-shifted bit-planes of
+the same words.
 
 Bit order
 ---------
@@ -31,7 +34,7 @@ The popcount primitive uses :func:`numpy.bitwise_count` where available
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,7 +62,10 @@ __all__ = [
     "supports_block_longest_one_runs",
     "walk_extremes",
     "last_bits",
+    "stream_bits",
     "word_summaries",
+    "cyclic_pattern_counts",
+    "template_block_counts",
 ]
 
 #: Bits per packed word.
@@ -90,8 +96,8 @@ class PackedMatrix:
     source:
         Optional reference to the original ``uint8`` matrix (kept by
         ``pack_matrix(..., keep_source=True)``) so consumers that still need
-        per-bit access — template tests, pattern counters — read it back
-        without an unpack pass.
+        per-bit access — the run-length histogram, FIPS poker blocks, the
+        scalar fallbacks — read it back without an unpack pass.
     """
 
     __slots__ = ("words", "n", "source")
@@ -300,6 +306,16 @@ def transition_counts(packed: PackedMatrix) -> np.ndarray:
         seams = (words[:, :-1] >> np.uint64(63)) ^ (words[:, 1:] & np.uint64(1))
         inner += seams.sum(axis=1, dtype=np.int64)
     return inner
+
+
+def stream_bits(packed: PackedMatrix, positions: np.ndarray) -> np.ndarray:
+    """Stream bits at ``positions`` (each in ``0 .. n-1``) of every row, as uint8."""
+    positions = np.asarray(positions, dtype=np.int64)
+    if positions.size and (positions.min() < 0 or positions.max() >= packed.n):
+        raise ValueError(f"stream positions must lie in 0..{packed.n - 1}")
+    offsets = (positions % BITS_PER_WORD).astype(WORD_DTYPE)
+    chosen_words = packed.words[:, positions // BITS_PER_WORD]
+    return ((chosen_words >> offsets) & np.uint64(1)).astype(np.uint8)
 
 
 def last_bits(packed: PackedMatrix) -> np.ndarray:
@@ -573,3 +589,236 @@ def walk_extremes(packed: PackedMatrix) -> Tuple[np.ndarray, np.ndarray, np.ndar
         np.minimum(s_min, tail_walk.min(axis=1), out=s_min)
         s_final = tail_walk[:, -1]
     return s_max, s_min, s_final
+
+
+# ---------------------------------------------------------------------------
+# Pattern and template counters (serial, approximate entropy, templates)
+# ---------------------------------------------------------------------------
+#
+# The paper's shared shift register exposes the last m bits in parallel, so
+# one clock updates every m-bit pattern counter and every template matcher.
+# The word-parallel analogue is a set of *bit-planes*: plane k holds stream
+# bit ``i + k`` at position ``i``, so AND-ing the planes (or their
+# complements) marks every position whose m-bit window equals a pattern, 64
+# windows per word op, and a popcount turns the mark plane into a count.
+
+#: Largest pattern length counted on the plane tree; longer patterns go
+#: through word-level window extraction.  The tree costs ~2^m word ops per
+#: row word against the extraction's fixed 64 shifted copies and bincount,
+#: and the two cross between m = 7 (tree ~2x faster) and m = 8 (extraction
+#: ahead) on 64 x 65536-bit batches (x86-64, numpy 2.4).
+PLANE_TREE_MAX_M = 7
+
+#: Row words per kernel pass (window extraction makes 64 values of each),
+#: and leaf words per plane-tree column pass: both bound the scratch memory
+#: at a few MiB whatever the batch shape, and keep a tree pass in cache.
+_PASS_WORDS = 1 << 14
+_LEAF_WORDS = 1 << 17
+
+_ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
+
+
+def _low_mask(bits: int) -> np.uint64:
+    """The ``bits`` low bits of a word set (``0 <= bits <= 64``)."""
+    return np.uint64((1 << bits) - 1)
+
+
+def _funnel_shift(words: np.ndarray, k: int) -> np.ndarray:
+    """Bit-plane ``k`` of zero-padded rows: bit ``i`` holds stream bit ``i + k``.
+
+    Positions whose source ``i + k`` lies past the end of the row read the
+    zero padding, so the plane is zero from ``n - k`` on.
+    """
+    if k == 0:
+        return words.copy()
+    whole, part = divmod(k, BITS_PER_WORD)
+    plane = np.zeros_like(words)
+    if whole >= words.shape[1]:
+        return plane
+    source = words[:, whole:]
+    width = source.shape[1]
+    if part == 0:
+        plane[:, :width] = source
+        return plane
+    plane[:, :width] = source >> np.uint64(part)
+    plane[:, : width - 1] |= source[:, 1:] << np.uint64(BITS_PER_WORD - part)
+    return plane
+
+
+def _cyclic_extension(words: np.ndarray, n: int) -> np.ndarray:
+    """The rows followed by their first 63 stream bits, plus a zero word.
+
+    Bit ``i + k`` of the extension is stream bit ``(i + k) mod n`` for every
+    ``i < n`` and ``k < min(n, 64)`` — every bit an ``m``-bit cyclic window
+    reads for ``m <= min(n, 64)``.  The trailing zero word lets a funnel
+    shift read one word past any window start.
+    """
+    rows, num_words = words.shape
+    extended = np.zeros((rows, num_words + 2), dtype=WORD_DTYPE)
+    extended[:, :num_words] = words
+    head = words[:, 0] & _low_mask(BITS_PER_WORD - 1)
+    index, offset = divmod(n, BITS_PER_WORD)
+    extended[:, index] |= head << np.uint64(offset)
+    if offset:
+        extended[:, index + 1] |= head >> np.uint64(BITS_PER_WORD - offset)
+    return extended
+
+
+def _window_shifts(extended: np.ndarray, num_words: int, shifts: np.ndarray) -> np.ndarray:
+    """``(len(shifts), rows, num_words)`` funnel shifts of the extended rows.
+
+    Slice ``j`` holds, at bit ``i``, extension bit ``i + shifts[j]``
+    (``0 <= shift < 64``); ``(high << 1) << (63 - s)`` is ``high << (64 - s)``
+    without a 64-bit shift at ``s = 0``.
+    """
+    shifts = shifts.astype(WORD_DTYPE)[:, np.newaxis, np.newaxis]
+    low = extended[np.newaxis, :, :num_words]
+    high = extended[np.newaxis, :, 1 : num_words + 1]
+    return (low >> shifts) | ((high << np.uint64(1)) << (np.uint64(BITS_PER_WORD - 1) - shifts))
+
+
+def _valid_words(n: int, num_words: int) -> np.ndarray:
+    """One row of words with exactly the ``n`` stream positions set."""
+    valid = np.full(num_words, _ALL_ONES, dtype=WORD_DTYPE)
+    tail = n - (num_words - 1) * BITS_PER_WORD
+    valid[-1] = _low_mask(tail)
+    return valid
+
+
+def _plane_tree_counts(words: np.ndarray, n: int, m: int) -> np.ndarray:
+    """Cyclic m-bit pattern counts of a row chunk by a breadth-first plane tree.
+
+    Plane ``k`` holds cyclic stream bit ``(i + k) mod n`` at position ``i``.
+    A level-``d`` node marks the positions whose first ``d`` window bits
+    equal its prefix; its 1-child is ``node & plane[d]`` and its 0-child
+    ``node ^ child`` (no complement, so the planes' bits past ``n`` never
+    count: the root is the ``n`` valid positions).  Each level is one
+    vectorised op over all its nodes; the leaves' popcounts are the counts.
+    Word columns are walked in passes of at most :data:`_LEAF_WORDS` leaf
+    words, since counts add up across positions.
+    """
+    rows, num_words = words.shape
+    planes = _window_shifts(_cyclic_extension(words, n), num_words, np.arange(m))
+    valid = _valid_words(n, num_words)
+    counts = np.zeros((1 << m, rows), dtype=np.int64)
+    step = max(1, _LEAF_WORDS // ((1 << m) * rows))
+    for start in range(0, num_words, step):
+        stop = min(start + step, num_words)
+        nodes = np.broadcast_to(valid[start:stop], (1, rows, stop - start))
+        for depth in range(m - 1):
+            children = np.empty((2 * nodes.shape[0], rows, stop - start), dtype=WORD_DTYPE)
+            np.bitwise_and(nodes, planes[depth, :, start:stop], out=children[1::2])
+            np.bitwise_xor(nodes, children[1::2], out=children[0::2])
+            nodes = children
+        # Last level: only the 1-leaves are built; a 0-leaf's count is its
+        # parent's minus its sibling's.
+        ones = popcount(nodes & planes[m - 1, :, start:stop]).sum(axis=2, dtype=np.int64)
+        counts[1::2] += ones
+        counts[0::2] += popcount(nodes).sum(axis=2, dtype=np.int64) - ones
+    return counts.T
+
+
+def _bit_reversal(m: int) -> np.ndarray:
+    """``rev[v]`` = ``v`` with its ``m`` low bits in reverse order."""
+    values = np.arange(1 << m, dtype=np.int64)
+    reversed_values = np.zeros_like(values)
+    for bit in range(m):
+        reversed_values |= ((values >> bit) & 1) << (m - 1 - bit)
+    return reversed_values
+
+
+def _extraction_counts(words: np.ndarray, n: int, m: int) -> np.ndarray:
+    """Cyclic m-bit pattern counts of a row chunk by window extraction.
+
+    Every window is funnel-shifted out of its two covering words of the
+    cyclic extension as a little-bit-order integer; starts past ``n`` go to
+    an overflow bin.  A window whose first bit is stream bit ``i`` reads
+    bit ``i`` as its *least* significant bit, so the histogram is
+    bit-reversed into the MSB-first pattern order at the end.
+    """
+    rows, num_words = words.shape
+    offsets = np.arange(BITS_PER_WORD)
+    windows = _window_shifts(_cyclic_extension(words, n), num_words, offsets)
+    windows &= _low_mask(m)
+    bins = (1 << m) + 1
+    starts = offsets[:, np.newaxis] + BITS_PER_WORD * np.arange(num_words)
+    values = np.where((starts >= n)[:, np.newaxis, :], bins - 1, windows.astype(np.int64))
+    values += (np.arange(rows, dtype=np.int64) * bins)[np.newaxis, :, np.newaxis]
+    histogram = np.bincount(values.ravel(), minlength=rows * bins).reshape(rows, bins)
+    return histogram[:, _bit_reversal(m)]
+
+
+def cyclic_pattern_counts(packed: PackedMatrix, m: int) -> np.ndarray:
+    """Cyclic ``m``-bit pattern counts per row: ``(rows, 2**m)`` int64.
+
+    Entry ``v`` counts the windows ``i = 0 .. n-1`` whose bits ``(i + k)
+    mod n`` for ``k = 0 .. m-1``, read MSB first, equal ``v`` — NIST's
+    cyclic convention for the serial and approximate-entropy tests (SP
+    800-22 §2.11, §2.12), identical to
+    :func:`repro.nist.common.pattern_counts`.  Up to
+    :data:`PLANE_TREE_MAX_M` the counts come from a plane tree, above it
+    from word-level window extraction; both walk the batch in bounded
+    passes, so scratch memory beyond the result stays a few MiB for any
+    ``m`` and batch shape.
+    """
+    n = packed.n
+    if not 1 <= m <= n:
+        raise ValueError(f"pattern length m={m} must lie in 1..n (n={n})")
+    if m >= BITS_PER_WORD:
+        raise ValueError(f"pattern length m={m} exceeds the {BITS_PER_WORD - 1}-bit window limit")
+    words = packed.words
+    rows, num_words = words.shape
+    kernel = _plane_tree_counts if m <= PLANE_TREE_MAX_M else _extraction_counts
+    step = max(1, _PASS_WORDS // num_words)
+    counts = np.empty((rows, 1 << m), dtype=np.int64)
+    for start in range(0, rows, step):
+        counts[start : start + step] = kernel(words[start : start + step], n, m)
+    return counts
+
+
+def template_block_counts(
+    packed: PackedMatrix, template: Sequence[int], block_length: int, num_blocks: int
+) -> np.ndarray:
+    """Per-block template occurrences per row: ``(rows, num_blocks)`` int64.
+
+    Entry ``b`` counts the windows wholly inside block ``b`` (starts ``b*M
+    .. b*M + M - m``) that equal ``template`` — the overlapping count of
+    SP 800-22 §2.8 and, for an aperiodic template (whose occurrences cannot
+    overlap), the non-overlapping count of §2.7.  The ``m`` funnel-shifted
+    planes (complemented where the template bit is 0) are ANDed into one
+    match plane; a running popcount over its words then gives every block
+    boundary's prefix count, so each block is a difference of two prefixes
+    and no per-bit position is ever materialised.
+    """
+    template = tuple(int(bit) for bit in template)
+    m = len(template)
+    n = packed.n
+    if m < 1 or block_length < m:
+        raise ValueError(f"template length m={m} must lie in 1..block_length={block_length}")
+    if num_blocks < 0 or num_blocks * block_length > n:
+        raise ValueError(f"{num_blocks} blocks of {block_length} bits exceed n={n}")
+    words = packed.words
+    rows = words.shape[0]
+    if num_blocks == 0:
+        return np.zeros((rows, 0), dtype=np.int64)
+    match = np.full_like(words, _ALL_ONES)
+    for k, bit in enumerate(template):
+        plane = _funnel_shift(words, k)
+        if not bit:
+            np.invert(plane, out=plane)
+        match &= plane
+    # Complemented planes set positions past the row end; no window a block
+    # holds reaches them, because every counted start is <= n - m.
+    per_word = popcount(match)
+    prefix = np.zeros((rows, words.shape[1] + 1), dtype=np.int64)
+    np.cumsum(per_word, axis=1, dtype=np.int64, out=prefix[:, 1:])
+    starts = np.arange(num_blocks, dtype=np.int64) * block_length
+    bounds = np.concatenate([starts, starts + block_length - m + 1])
+    index = bounds // BITS_PER_WORD
+    offset = (bounds % BITS_PER_WORD).astype(WORD_DTYPE)
+    # A bound on a word edge needs no partial word (its index may be one
+    # past the last word); otherwise count the bits of its word below it.
+    partial_word = match[:, np.minimum(index, words.shape[1] - 1)]
+    partial = popcount(partial_word & ((np.uint64(1) << offset) - np.uint64(1)))
+    before = prefix[:, index] + partial.astype(np.int64)
+    return before[:, num_blocks:] - before[:, :num_blocks]

@@ -16,7 +16,9 @@ share sub-statistics.  When the context is backed by a
 :class:`~repro.engine.context.BatchContext` (the platform's batch path), the
 statistics are computed in single vectorised passes over the whole batch,
 on the packed 64-bits-per-word kernels when the batch's backend is
-``"packed"``.  Only the template-matching units read raw bits.
+``"packed"``; the template-matching units read the packed per-block
+template counters.  Only a periodic non-overlapping template (whose greedy
+scan skips past each match) still reads raw bits.
 
 The functional and cycle-accurate paths are verified equivalent by
 ``tests/test_hwtests_functional.py`` (same final register-file contents for
@@ -27,6 +29,8 @@ path suits their sequence length.
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Union
+
+import numpy as np
 
 from repro.engine.context import SequenceContext
 from repro.hwtests.approximate_entropy import ApproximateEntropyHW
@@ -41,8 +45,7 @@ from repro.hwtests.runs import RunsHW
 from repro.hwtests.serial import SerialHW
 from repro.nist.common import BitsLike, chunk
 from repro.nist.longest_run import LONGEST_RUN_TABLES, category_index
-from repro.nist.nonoverlapping import count_non_overlapping
-from repro.nist.overlapping import count_overlapping
+from repro.nist.nonoverlapping import _is_aperiodic, count_non_overlapping
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hwtests.block import UnifiedTestingBlock
@@ -90,21 +93,29 @@ def _load_longest_run(unit: LongestRunHW, context: SequenceContext) -> None:
 
 
 def _load_non_overlapping(unit: NonOverlappingTemplateHW, context: SequenceContext) -> None:
-    blocks = chunk(context.bits, unit.block_length)
-    for index, counter in enumerate(unit._block_counters):
-        if index < len(blocks):
-            counter.force(count_non_overlapping(blocks[index], unit.template))
+    num_blocks = min(context.n // unit.block_length, unit.num_blocks)
+    template = tuple(unit.template)
+    if _is_aperiodic(template):
+        # No two occurrences of an aperiodic template overlap, so the greedy
+        # count is the per-block window count of the shared counters.
+        counts = context.template_block_counts(template, unit.block_length, num_blocks)
+    else:
+        counts = [
+            count_non_overlapping(block, template)
+            for block in chunk(context.bits, unit.block_length)[:num_blocks]
+        ]
+    for counter, count in zip(unit._block_counters, counts):
+        counter.force(int(count))
     unit._skip.clear()
-    unit._current_block = min(len(blocks), unit.num_blocks) - 1
+    unit._current_block = num_blocks - 1
 
 
 def _load_overlapping(unit: OverlappingTemplateHW, context: SequenceContext) -> None:
-    categories = [0] * len(unit._categories)
-    for block in chunk(context.bits, unit.block_length)[: unit.num_blocks]:
-        occurrences = count_overlapping(block, unit.template)
-        categories[min(occurrences, unit.K)] += 1
+    num_blocks = min(context.n // unit.block_length, unit.num_blocks)
+    occurrences = context.template_block_counts(unit.template, unit.block_length, num_blocks)
+    categories = np.bincount(np.minimum(occurrences, unit.K), minlength=unit.K + 1)
     for counter, value in zip(unit._categories, categories):
-        counter.force(value)
+        counter.force(int(value))
     unit._block_matches.clear()
 
 
@@ -171,9 +182,8 @@ def fast_load_block_from_context(
     """Load a whole block from a shared context (the platform batch path).
 
     The context supplies every shared statistic; the raw bits are only
-    touched when the design includes template tests (their match counters
-    have no shared sub-statistic) or a shared shift register whose tail
-    state must be replayed.
+    touched for a periodic non-overlapping template or a shared shift
+    register whose tail state must be replayed.
     """
     if context.n != block.params.n:
         raise ValueError(f"expected {block.params.n} bits, got {context.n}")

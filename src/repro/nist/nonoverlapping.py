@@ -7,11 +7,12 @@ and variance with a χ² statistic.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+import functools
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.nist.common import BitsLike, TestResult, bits_from_int, bits_to_int, igamc, to_bits
+from repro.nist.common import BitsLike, TestResult, bits_from_int, igamc, to_bits
 
 __all__ = [
     "non_overlapping_template_test",
@@ -26,7 +27,8 @@ __all__ = [
 DEFAULT_TEMPLATE_9: tuple = (0, 0, 0, 0, 0, 0, 0, 0, 1)
 
 
-def _is_aperiodic(template: Sequence[int]) -> bool:
+@functools.lru_cache(maxsize=4096)
+def _is_aperiodic(template: Tuple[int, ...]) -> bool:
     """A template is aperiodic when no proper shift of it matches itself."""
     m = len(template)
     for shift in range(1, m):
@@ -115,20 +117,16 @@ def non_overlapping_template_test_from_context(
 
     For an aperiodic template — the only kind NIST uses — no two occurrences
     can overlap, so the greedy non-overlapping count equals the plain number
-    of matching windows; those are read off the shared ``m``-bit window
-    values (also used by the overlapping test and pattern counters).
-    Periodic templates fall back to the reference greedy scan.
+    of matching windows per block: the shared per-block template counters
+    (the same kernel the overlapping test reads).  Periodic templates fall
+    back to the reference greedy scan.
     """
     n = context.n
     template, block_length = _validate(n, template, num_blocks)
-    m = len(template)
     if _is_aperiodic(template):
-        values = context.window_values(m)
-        target = bits_to_int(template)
-        windows_per_block = block_length - m + 1
         counts = [
-            int(np.count_nonzero(values[i * block_length : i * block_length + windows_per_block] == target))
-            for i in range(num_blocks)
+            int(count)
+            for count in context.template_block_counts(template, block_length, num_blocks)
         ]
     else:
         counts = [

@@ -8,12 +8,13 @@ from the compound-Poisson approximation.
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.nist.common import BitsLike, TestResult, bits_to_int, igamc, to_bits
+from repro.nist.common import BitsLike, TestResult, igamc, to_bits
 
 __all__ = [
     "overlapping_template_test",
@@ -69,15 +70,23 @@ def overlapping_probabilities(block_length: int, template_length: int, k: int = 
     λ = (M − m + 1) / 2^m and η = λ / 2; the final category absorbs the
     remaining probability mass.  For the NIST reference parameters
     (M = 1032, m = 9) this reproduces the tabulated values of SP 800-22 to
-    within rounding.
+    within rounding.  Memoised per ``(M, m, K)``; each call returns a fresh
+    list.
     """
+    return list(_overlapping_probabilities(block_length, template_length, k))
+
+
+@functools.lru_cache(maxsize=256)
+def _overlapping_probabilities(
+    block_length: int, template_length: int, k: int
+) -> Tuple[float, ...]:
     lam = (block_length - template_length + 1) / (1 << template_length)
     if lam <= 0:
         raise ValueError("block too short for the given template")
     eta = lam / 2.0
     pi = [_pr(u, eta) for u in range(k)]
     pi.append(1.0 - sum(pi))
-    return pi
+    return tuple(pi)
 
 
 def overlapping_template_test(
@@ -125,23 +134,13 @@ def overlapping_template_test_from_context(
     block_length: int = 1032,
     k: int = 5,
 ) -> TestResult:
-    """Context-aware entry point: per-block occurrence counts are read off
-    the shared ``m``-bit window values (also used by the non-overlapping
-    test) instead of a per-window template comparison scan."""
+    """Context-aware entry point: per-block occurrence counts are the shared
+    per-block template counters (the same kernel the non-overlapping test
+    reads) instead of a per-window template comparison scan."""
     n = context.n
     template, num_blocks = _validate(n, template, block_length)
-    m = len(template)
-    values = context.window_values(m)
-    target = bits_to_int(template)
-    windows_per_block = block_length - m + 1
-    categories = np.zeros(k + 1, dtype=np.int64)
-    for i in range(num_blocks):
-        occurrences = int(
-            np.count_nonzero(
-                values[i * block_length : i * block_length + windows_per_block] == target
-            )
-        )
-        categories[min(occurrences, k)] += 1
+    occurrences = context.template_block_counts(template, block_length, num_blocks)
+    categories = np.bincount(np.minimum(occurrences, k), minlength=k + 1).astype(np.int64)
     return _overlapping_result(n, template, block_length, num_blocks, k, categories)
 
 

@@ -9,7 +9,7 @@ the per-test reference functions through a hard-coded dict: tests are
 resolved from the engine's :data:`~repro.engine.registry.DEFAULT_REGISTRY`
 and evaluated on a shared :class:`~repro.engine.context.SequenceContext`,
 so tests that need the same sub-statistic (ones count, pattern counters,
-window values, block sums) compute it once — the software analogue of the
+template counters, block sums) compute it once — the software analogue of the
 paper's shared hardware counters.  :meth:`NistSuite.run_batch` extends the
 sharing across the sequence axis of a whole batch.
 """

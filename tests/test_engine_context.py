@@ -74,12 +74,15 @@ class TestSequenceContext:
         expected = pattern_counts(sample_bits, m, cyclic=cyclic)
         assert np.array_equal(context.pattern_counts(m, cyclic=cyclic), expected)
 
-    def test_window_values_match_bruteforce(self):
+    def test_template_block_counts_match_bruteforce(self):
         bits = np.array([1, 0, 1, 1, 0, 0, 1, 0], dtype=np.uint8)
         context = SequenceContext(bits)
-        values = context.window_values(3)
-        expected = [int("".join(map(str, bits[i : i + 3])), 2) for i in range(6)]
-        assert values.tolist() == expected
+        values = [int("".join(map(str, bits[i : i + 3])), 2) for i in range(6)]
+        for value in range(8):
+            template = [int(bit) for bit in format(value, "03b")]
+            assert context.template_block_counts(template, 8, 1).tolist() == [
+                values.count(value)
+            ]
 
     def test_block_value_counts_match_bruteforce(self, sample_bits):
         context = SequenceContext(sample_bits)
@@ -132,7 +135,11 @@ class TestBatchContext:
                 assert np.array_equal(
                     context.pattern_counts(m), solo.pattern_counts(m)
                 )
-            assert np.array_equal(context.window_values(9), solo.window_values(9))
+            template = (0,) * 8 + (1,)
+            assert np.array_equal(
+                context.template_block_counts(template, 128, 4),
+                solo.template_block_counts(template, 128, 4),
+            )
             assert np.array_equal(
                 context.block_value_counts(4), solo.block_value_counts(4)
             )
