@@ -137,14 +137,6 @@ class CampaignReport(JsonCsvExportMixin):
     designs: Tuple[str, ...]
     scenarios: Tuple[str, ...]
     cells: List[CampaignCell] = field(default_factory=list)
-    #: Compute backend the engine's shared statistics ran on ("packed" word
-    #: kernels or the "uint8" reference paths); P-values are identical.
-    backend: str = "packed"
-    #: Evaluation layer -> execution path the campaign took for it
-    #: ("hw.platform": "batched"/"inline" per-sequence platform fallback;
-    #: "campaign.cells": "pooled"/"inline" cell dispatch).  Empty for
-    #: reports saved before execution paths were recorded.
-    execution_paths: Dict[str, str] = field(default_factory=dict)
 
     # ------------------------------------------------------------- selection
     def cells_for_design(self, design: str) -> List[CampaignCell]:
@@ -213,14 +205,14 @@ class CampaignReport(JsonCsvExportMixin):
                 "fail_after": self.fail_after,
                 "designs": list(self.designs),
                 "scenarios": list(self.scenarios),
-                "backend": self.backend,
             },
             "cells": [cell.to_dict() for cell in self.cells],
-            "execution_paths": dict(sorted(self.execution_paths.items())),
         }
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "CampaignReport":
+        # Reports saved by older versions also carry a backend and
+        # execution paths; neither changed an outcome, so both are ignored.
         config = data["config"]
         return cls(
             seed=config["seed"],
@@ -232,13 +224,6 @@ class CampaignReport(JsonCsvExportMixin):
             designs=tuple(config["designs"]),
             scenarios=tuple(config["scenarios"]),
             cells=[CampaignCell.from_dict(cell) for cell in data["cells"]],
-            # Reports saved before the packed backend existed ran on uint8.
-            backend=config.get("backend", "uint8"),
-            # Older reports recorded no execution paths.
-            execution_paths={
-                str(k): str(v)
-                for k, v in data.get("execution_paths", {}).items()
-            },
         )
 
     # to_json / from_json / save_json / to_csv / save_csv come from

@@ -12,20 +12,15 @@ sequence is evaluated through the engine's batch path
 functional hardware model).  No per-bit Python runs anywhere on the
 campaign hot path — neither for generation nor for evaluation.  The
 monitor's latency and attribution hooks (first failed index, first failing
-tests, per-test failure counts) provide the per-cell metrics.
-
-Cells are independent, so with ``processes > 1`` they fan out over a process
-pool — the campaign-level analogue of :func:`repro.engine.batch.run_batch`'s
-expensive-test pool.  Pool dispatch is only available for the default
-catalogue, since workers re-resolve scenarios by label.
+tests, per-test failure counts) provide the per-cell metrics.  Cells run one
+after another in this process, design-major, in configured order.
 """
 
 from __future__ import annotations
 
 import zlib
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
-from typing import Callable, Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Optional, Tuple
 
 import repro.obs as obs
 from repro.campaign.report import CampaignCell, CampaignReport
@@ -33,7 +28,6 @@ from repro.campaign.scenarios import DEFAULT_CATALOG, ScenarioCatalog, ScenarioS
 from repro.core.configs import get_design
 from repro.core.monitor import OnTheFlyMonitor
 from repro.core.platform import OnTheFlyPlatform
-from repro.engine.context import DEFAULT_BACKEND, validate_backend
 
 __all__ = ["CampaignConfig", "run_campaign", "DEFAULT_CAMPAIGN_DESIGNS"]
 
@@ -71,12 +65,6 @@ class CampaignConfig:
     seed:
         Base seed; every (design, scenario, trial) derives its own stream
         deterministically, so a campaign is reproducible cell by cell.
-    processes:
-        When > 1, cells fan out over a process pool of that size.
-    backend:
-        Compute backend of the engine's shared statistics (``"packed"``
-        64-bit word kernels by default, ``"uint8"`` for the byte-per-bit
-        reference paths); detection outcomes are identical either way.
     """
 
     designs: Tuple[str, ...] = DEFAULT_CAMPAIGN_DESIGNS
@@ -87,13 +75,10 @@ class CampaignConfig:
     suspect_after: int = 1
     fail_after: int = 2
     seed: int = 0
-    processes: Optional[int] = None
-    backend: str = DEFAULT_BACKEND
 
     def validate(self) -> None:
         if not self.designs:
             raise ValueError("need at least one design point")
-        validate_backend(self.backend)
         if self.trials < 1:
             raise ValueError("trials must be positive")
         if self.sequences_per_trial < 1:
@@ -184,22 +169,6 @@ def _evaluate_cell_inner(
     )
 
 
-def _pool_cell(payload) -> Tuple[CampaignCell, Optional[str]]:
-    """Run one cell in a worker process.
-
-    Only default-catalogue campaigns are pooled (scenario builders are
-    closures and do not pickle), so the worker re-resolves the scenario by
-    label against its own imported catalogue — mirroring how the batch
-    executor's pool workers re-resolve tests by id.  Returns the cell plus
-    the worker platform's execution path so the report can still prove the
-    sequences went through the batched engine path.
-    """
-    design, label, config = payload
-    platform = OnTheFlyPlatform(design, alpha=config.alpha, backend=config.backend)
-    cell = _evaluate_cell(platform, design, DEFAULT_CATALOG.get(label), config)
-    return cell, platform.last_execution_path
-
-
 def run_campaign(
     config: Optional[CampaignConfig] = None,
     catalog: Optional[ScenarioCatalog] = None,
@@ -214,8 +183,7 @@ def run_campaign(
         the full catalogue on three design points, three trials per cell).
     catalog:
         Scenario catalogue to draw from (default:
-        :data:`~repro.campaign.scenarios.DEFAULT_CATALOG`).  Process-pool
-        dispatch is only available for the default catalogue.
+        :data:`~repro.campaign.scenarios.DEFAULT_CATALOG`).
     on_cell:
         Optional callback invoked with every finished :class:`CampaignCell`
         in report order (progress streaming for long campaigns).
@@ -234,40 +202,13 @@ def run_campaign(
     labels = tuple(spec.label for spec in specs)
 
     cells = []
-    # Evaluation-layer provenance surfaced in the report: how the per-cell
-    # work was dispatched, and which engine path the platform's sequence
-    # evaluations took (should read "batched" — the pool-free batch path).
-    execution_paths: Dict[str, str] = {}
-    pooled = (
-        config.processes is not None
-        and config.processes > 1
-        and catalog is DEFAULT_CATALOG
-    )
-    if pooled:
-        payloads = [
-            (design, label, replace(config, processes=None))
-            for design in config.designs
-            for label in labels
-        ]
-        execution_paths["campaign.cells"] = "pooled"
-        with ProcessPoolExecutor(max_workers=config.processes) as pool:
-            for cell, platform_path in pool.map(_pool_cell, payloads):
-                if platform_path is not None:
-                    execution_paths["hw.platform"] = platform_path
-                cells.append(cell)
-                if on_cell is not None:
-                    on_cell(cell)
-    else:
-        execution_paths["campaign.cells"] = "inline"
-        for design in config.designs:
-            platform = OnTheFlyPlatform(design, alpha=config.alpha, backend=config.backend)
-            for spec in specs:
-                cell = _evaluate_cell(platform, design, spec, config)
-                cells.append(cell)
-                if on_cell is not None:
-                    on_cell(cell)
-            if platform.last_execution_path is not None:
-                execution_paths["hw.platform"] = platform.last_execution_path
+    for design in config.designs:
+        platform = OnTheFlyPlatform(design, alpha=config.alpha)
+        for spec in specs:
+            cell = _evaluate_cell(platform, design, spec, config)
+            cells.append(cell)
+            if on_cell is not None:
+                on_cell(cell)
 
     return CampaignReport(
         seed=config.seed,
@@ -279,6 +220,4 @@ def run_campaign(
         designs=tuple(config.designs),
         scenarios=labels,
         cells=cells,
-        backend=config.backend,
-        execution_paths=execution_paths,
     )

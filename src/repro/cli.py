@@ -14,9 +14,8 @@ Installed as ``repro-trng-test`` (see ``pyproject.toml``); also runnable as
     batches through the engine instead of one sequence at a time).
 ``suite``
     Run the full reference NIST SP 800-22 suite (all 15 tests) on a captured
-    byte file through the batch engine.  The heavyweight tests run pool-free
-    on batch-native kernels; ``--processes`` keeps a process pool available
-    as an explicit opt-in fallback.
+    byte file through the batch engine; the heavyweight tests run on
+    batch-native kernels.
 ``batch``
     Evaluate a batch of sequences from a simulated source through the
     unified batch engine and report per-test pass rates and throughput.
@@ -67,7 +66,6 @@ from repro.campaign import (
 from repro.core.configs import get_design, list_designs
 from repro.core.monitor import HealthState, OnTheFlyMonitor
 from repro.core.platform import OnTheFlyPlatform
-from repro.engine.context import BACKENDS, DEFAULT_BACKEND
 from repro.eval.asic import estimate_asic
 from repro.eval.fpga import estimate_fpga
 from repro.hwtests.block import UnifiedTestingBlock
@@ -135,17 +133,6 @@ def _make_source(name: str, seed: int, parameter: float, n: int) -> EntropySourc
     raise ValueError(
         f"unknown simulated source {name!r}; available: "
         f"{', '.join(_SIMULATED_SOURCES)} or scenario:<label>"
-    )
-
-
-def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
-    """The shared ``--backend`` flag of the engine-driven sub-commands."""
-    parser.add_argument(
-        "--backend", choices=BACKENDS, default=DEFAULT_BACKEND,
-        help="compute backend for the engine's shared statistics: 'packed' "
-             "runs them on 64-bits-per-word popcount kernels, 'uint8' on "
-             "the byte-per-bit reference paths; P-values and verdicts are "
-             "bit-identical either way (default: %(default)s)",
     )
 
 
@@ -225,10 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "CaptureSource.save); drops the zero-pad bits of the "
                             "last byte")
     suite.add_argument("--alpha", type=float, default=0.01)
-    suite.add_argument("--processes", type=int, default=None,
-                       help="fallback knob: the heavy tests run pool-free on "
-                            "batch-native kernels; set > 1 only to fan tests "
-                            "without a batch kernel out over worker processes")
 
     batch = sub.add_parser("batch", help="evaluate a batch of sequences through the engine")
     batch.add_argument("--source", default="ideal", help=_SOURCE_HELP)
@@ -237,14 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--sequences", type=int, default=64, help="number of sequences in the batch")
     batch.add_argument("--length", type=int, default=4096, help="bits per sequence")
     batch.add_argument("--alpha", type=float, default=0.01)
-    batch.add_argument("--processes", type=int, default=None,
-                       help="fallback knob: the heavy tests run pool-free on "
-                            "batch-native kernels; set > 1 only to fan tests "
-                            "without a batch kernel out over worker processes")
     batch.add_argument("--tests", default="hw",
                        help="comma-separated NIST test numbers, or 'hw' for the "
                             "HW-suitable subset, or 'all' for all 15")
-    _add_backend_argument(batch)
     _add_trace_argument(batch)
 
     campaign = sub.add_parser(
@@ -265,16 +243,10 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--fail-after", type=int, default=2)
     campaign.add_argument("--seed", type=int, default=0,
                           help="base seed; the whole campaign is reproducible from it")
-    campaign.add_argument("--processes", type=int, default=None,
-                          help="fallback knob: each cell's sequences already run "
-                               "through the pool-free batched engine path; set "
-                               "> 1 only to additionally fan whole cells out "
-                               "over worker processes")
     campaign.add_argument("--json", dest="json_path", default=None,
                           help="write the full campaign report as JSON to this path")
     campaign.add_argument("--csv", dest="csv_path", default=None,
                           help="write the summary table as CSV to this path")
-    _add_backend_argument(campaign)
 
     fleet = sub.add_parser(
         "fleet",
@@ -301,12 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="keep per-device packed rings across rounds (O(1) window "
                             "rolls, ingest accepts arbitrary chunk sizes) instead of "
                             "rebuilding each round's matrix; verdicts are identical")
-    fleet.add_argument("--processes", type=int, default=None,
-                       help="fallback knob: rounds already run pool-free on the "
-                            "batched engine path; set > 1 only to shard each "
-                            "round's fleet matrix over worker processes (fleets "
-                            "under 256 devices stay inline — the pool's "
-                            "serialisation overhead would dominate)")
     fleet.add_argument("--json", dest="json_path", default=None,
                        help="write the full fleet report as JSON to this path")
     fleet.add_argument("--csv", dest="csv_path", default=None,
@@ -342,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--quiet", action="store_true",
                        help="serve: log only warnings and errors (drop the "
                             "per-request INFO lines of the service logger)")
-    _add_backend_argument(fleet)
     _add_trace_argument(fleet)
 
     chaos = sub.add_parser(
@@ -384,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the JSON recovery report to this path")
     chaos.add_argument("--quiet", action="store_true",
                        help="suppress the per-phase progress lines")
-    _add_backend_argument(chaos)
 
     lint = sub.add_parser(
         "lint",
@@ -528,7 +492,7 @@ def _cmd_suite(args, out) -> int:
         print(f"error: {exc}", file=out)
         return 2
     bits = source.generate(source.total_bits)
-    report = NistSuite().run_batch([bits], processes=args.processes)[0]
+    report = NistSuite().run_batch([bits])[0]
     print(f"reference NIST SP 800-22 suite on {args.capture} ({source.total_bits} bits)", file=out)
     for row in report.summary_rows(args.alpha):
         if row.get("error"):
@@ -565,19 +529,15 @@ def _cmd_batch(args, out) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=out)
         return 2
-    matrix = source.generate_matrix(
-        args.sequences, args.length, packed=args.backend == "packed"
-    )
+    matrix = source.generate_matrix(args.sequences, args.length, packed=True)
     # The span doubles as the throughput timer (spans always measure time;
     # repro.obs is the sanctioned wall-clock home, see rule OBS001).
     with obs.span("cli.batch", sequences=args.sequences, length=args.length) as batch_span:
-        reports = run_batch(matrix, tests=tests, processes=args.processes,
-                            backend=args.backend)
+        reports = run_batch(matrix, tests=tests)
     elapsed = batch_span.duration_s
     print(
         f"engine batch: {args.sequences} sequences x {args.length} bits from "
-        f"{source.name} ({len(tests)} tests, alpha = {args.alpha}, "
-        f"backend = {args.backend})",
+        f"{source.name} ({len(tests)} tests, alpha = {args.alpha})",
         file=out,
     )
     # A healthy source still fails each test with probability ~alpha, so the
@@ -628,8 +588,6 @@ def _cmd_campaign(args, out) -> int:
         suspect_after=args.suspect_after,
         fail_after=args.fail_after,
         seed=args.seed,
-        processes=args.processes,
-        backend=args.backend,
     )
     try:
         config.validate()
@@ -643,7 +601,7 @@ def _cmd_campaign(args, out) -> int:
         f"detection campaign: {len(report.scenarios)} scenarios x "
         f"{len(report.designs)} designs, {args.trials} trials x "
         f"{args.sequences} sequences per cell (alpha = {args.alpha}, "
-        f"seed = {args.seed}, backend = {report.backend})",
+        f"seed = {args.seed})",
         file=out,
     )
     print("", file=out)
@@ -714,9 +672,7 @@ def _cmd_fleet(args, out) -> int:
         if args.restore and not args.snapshot_dir:
             raise ValueError("--restore needs --snapshot-dir")
         if args.restore and has_snapshot(args.snapshot_dir):
-            scheduler, replay = recover_fleet(
-                args.snapshot_dir, processes=args.processes
-            )
+            scheduler, replay = recover_fleet(args.snapshot_dir)
             registry = scheduler.registry
             print(
                 f"fleet restored from {args.snapshot_dir}: "
@@ -747,19 +703,13 @@ def _cmd_fleet(args, out) -> int:
             # populate() would reject zero devices.
             if args.devices > 0:
                 registry.populate(args.devices, mix, seed=args.seed)
-            scheduler = FleetScheduler(
-                registry,
-                processes=args.processes,
-                backend=args.backend,
-                streaming=args.streaming,
-            )
+            scheduler = FleetScheduler(registry, streaming=args.streaming)
     except (KeyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=out)
         return 2
     print(
         f"fleet: {len(registry)} devices on {registry.design_name} "
-        f"(n = {registry.n}, alpha = {registry.alpha}, seed = {args.seed}, "
-        f"backend = {scheduler.backend})",
+        f"(n = {registry.n}, alpha = {registry.alpha}, seed = {args.seed})",
         file=out,
     )
     counts = registry.scenario_counts()
@@ -890,7 +840,6 @@ def _cmd_chaos(args, out) -> int:
             reorder_rate=args.reorder,
             corrupt_rate=args.corrupt,
             snapshot_interval_s=args.snapshot_interval,
-            backend=args.backend,
             streaming=args.streaming,
             workdir=args.workdir,
         )

@@ -431,9 +431,7 @@ class MonitorStream:
                 f"history_bits must be at least the window size n={n}, got {capacity}"
             )
         self.monitor = monitor
-        self._stream = StreamingContext(
-            n, capacity_bits=capacity, backend=monitor.platform.backend
-        )
+        self._stream = StreamingContext(n, capacity_bits=capacity)
         # First evaluation once the window fills; every `stride` bits after.
         self._until_eval = n
         self._windows_evaluated = 0

@@ -13,18 +13,13 @@ testing environment:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
 from repro.core.configs import DesignPoint, get_design
 from repro.core.results import PlatformReport
-from repro.engine.context import (
-    DEFAULT_BACKEND,
-    BatchContext,
-    SequenceContext,
-    validate_backend,
-)
+from repro.engine.context import BatchContext
 from repro.engine.packed import PackedMatrix
 from repro.hwtests.block import UnifiedTestingBlock
 from repro.hwtests.parameters import SharingOptions
@@ -51,11 +46,6 @@ class OnTheFlyPlatform:
         default; the ablation benchmark switches them off selectively).
     word_bits:
         Word width of the software platform (16 in the paper).
-    backend:
-        Compute backend of the batch path's shared statistics: ``"packed"``
-        (default) runs them on the 64-bits-per-word kernels of
-        :mod:`repro.engine.packed`; ``"uint8"`` forces the byte-per-bit
-        reference paths.  Verdicts are bit-identical either way.
     """
 
     def __init__(
@@ -64,14 +54,12 @@ class OnTheFlyPlatform:
         alpha: float = 0.01,
         sharing: SharingOptions = SharingOptions(),
         word_bits: int = 16,
-        backend: str = DEFAULT_BACKEND,
     ):
         if isinstance(design, str):
             design = get_design(design)
         self.design = design
         self.alpha = alpha
         self.sharing = sharing
-        self.backend = validate_backend(backend)
         params = design.parameters
         self.hardware = UnifiedTestingBlock(
             params, tests=design.tests, sharing=sharing, bus_width=word_bits
@@ -79,12 +67,6 @@ class OnTheFlyPlatform:
         self.software = SoftwareVerifier(
             params, tests=design.tests, alpha=alpha, word_bits=word_bits
         )
-        #: Execution path of the most recent :meth:`evaluate_batch` call:
-        #: "batched" when the sequences shared one vectorised BatchContext,
-        #: "inline" on the per-sequence fallback (mixed/solo inputs), None
-        #: before the first batch call.  Campaign reports surface this to
-        #: prove the pool-free batch path was taken.
-        self.last_execution_path: Optional[str] = None
 
     # ------------------------------------------------------------------ info
     @property
@@ -142,45 +124,33 @@ class OnTheFlyPlatform:
         default) rather than the bit-serial one.  The verdicts are identical
         either way; only the simulation speed differs.
 
-        ``sequences`` may be any iterable of ``BitsLike`` sequences, the
-        zero-copy fast path used by the monitor and campaign runner — a
-        2-D ``(num_sequences, n)`` uint8 matrix straight from
-        :meth:`~repro.trng.source.EntropySource.generate_matrix` — a
+        ``sequences`` may be any iterable of ``BitsLike`` sequences (one
+        sequence included), the zero-copy fast path used by the monitor and
+        campaign runner — a 2-D ``(num_sequences, n)`` uint8 matrix straight
+        from :meth:`~repro.trng.source.EntropySource.generate_matrix` — a
         prepacked :class:`~repro.engine.packed.PackedMatrix` from
         ``generate_matrix(..., packed=True)``, or a prebuilt
         :class:`~repro.engine.context.BatchContext` (e.g. the preseeded
         trailing window of a streaming context), which is used as-is so
         statistics already rolled into it are never recomputed.
 
-        On the accelerated path the whole batch shares one
-        :class:`~repro.engine.context.BatchContext` (built on the platform's
-        configured :attr:`backend`), so the hardware units' shared
-        statistics are computed in single vectorised passes over the batch
-        instead of once per sequence.
+        The whole batch shares one
+        :class:`~repro.engine.context.BatchContext`, so the hardware units'
+        shared statistics are computed in single vectorised passes over the
+        batch instead of once per sequence.
         """
-        batch: Optional[BatchContext] = None
-        if isinstance(sequences, BatchContext):
-            batch = sequences
-        elif isinstance(sequences, PackedMatrix):
-            batch = BatchContext(sequences, backend=self.backend)
-        elif isinstance(sequences, np.ndarray):
+        if isinstance(sequences, np.ndarray):
             # as_matrix validates shape (2-D) and 0/1 content.
-            batch = BatchContext(BatchContext.as_matrix(sequences), backend=self.backend)
-        if batch is not None:
-            if batch.n != self.n and batch.num_sequences:
-                raise ValueError(f"expected {self.n} bits, got {batch.n}")
-            contexts: List[SequenceContext] = list(batch.contexts())
-        else:
-            arrays = [to_bits(sequence) for sequence in sequences]
-            for arr in arrays:
+            sequences = BatchContext(BatchContext.as_matrix(sequences))
+        elif not isinstance(sequences, (BatchContext, PackedMatrix)):
+            sequences = [to_bits(sequence) for sequence in sequences]
+            for arr in sequences:
                 if arr.size != self.n:
                     raise ValueError(f"expected {self.n} bits, got {arr.size}")
-            if len(arrays) > 1 and len({arr.size for arr in arrays}) == 1:
-                batch = BatchContext(np.vstack(arrays), backend=self.backend)
-                contexts = list(batch.contexts())
-            else:
-                contexts = [SequenceContext(arr) for arr in arrays]
-        self.last_execution_path = "batched" if batch is not None else "inline"
+        batch = BatchContext.from_sequences(sequences)
+        if batch.n != self.n and batch.num_sequences:
+            raise ValueError(f"expected {self.n} bits, got {batch.n}")
+        contexts = batch.contexts()
         if not accelerated:
             return [
                 self.evaluate_sequence(context.bits, accelerated=False)

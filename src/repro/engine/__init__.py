@@ -3,16 +3,14 @@
 The engine is the software embodiment of the paper's resource-sharing idea:
 the hardware testing block derives common sub-statistics (bit counts, block
 sums, pattern counters) once and shares them across the on-the-fly tests.
-Here a :class:`SequenceContext` memoizes those derived statistics for one
-sequence, a :class:`BatchContext` computes them with vectorised 2-D passes
-for a whole batch, the :class:`TestRegistry` puts the NIST, FIPS and
-hardware-model tests behind one ``run(context) -> TestResult`` interface,
-and :func:`run_batch` executes any test selection over many sequences —
-vectorising the cheap tests on the shared statistics and the five
-heavyweight ones through the batch-native kernels of
-:mod:`repro.engine.heavy`, so the full suite runs pool-free on the packed
-backend (the process pool survives as an explicit ``processes > 1``
-fallback for paths without a batch kernel).
+Here a :class:`BatchContext` computes those derived statistics once per
+batch on the packed 64-bits-per-word kernels, a :class:`SequenceContext` is
+one sequence's row view of a batch, the :class:`TestRegistry` puts the NIST,
+FIPS and hardware-model tests behind one ``run(context) -> TestResult``
+interface, and :func:`run_batch` executes any test selection over any
+number of equal-length sequences in process — the cheap tests per sequence
+on the shared statistics, the five heavyweight ones through the
+batch-native kernels of :mod:`repro.engine.heavy`.
 
 Quickstart::
 
@@ -26,7 +24,7 @@ Quickstart::
 
 from repro.engine.batch import EngineReport, run_batch
 from repro.engine.heavy import BatchFallback
-from repro.engine.context import BACKENDS, DEFAULT_BACKEND, BatchContext, SequenceContext
+from repro.engine.context import BatchContext, SequenceContext
 from repro.engine.packed import PackedMatrix, pack_matrix, unpack_matrix
 from repro.engine.registry import (
     DEFAULT_REGISTRY,
@@ -39,10 +37,8 @@ from repro.engine.registry import (
 from repro.engine.streaming import StreamingBatchContext, StreamingContext
 
 __all__ = [
-    "BACKENDS",
     "BatchContext",
     "BatchFallback",
-    "DEFAULT_BACKEND",
     "DEFAULT_REGISTRY",
     "EngineReport",
     "NIST_NUMBER_TO_ID",

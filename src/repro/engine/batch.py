@@ -1,43 +1,39 @@
-"""Batch executor: many sequences, shared statistics, pool-free heavy tests.
+"""Batch executor: many sequences, one shared-statistic context, in process.
 
 ``run_batch`` is the engine's answer to the ROADMAP's many-sequence
 monitoring traffic: instead of evaluating sequences one at a time (each test
-re-scanning the same bitstream), a batch of equal-length sequences shares a
-:class:`~repro.engine.context.BatchContext` whose statistics are computed
-with single vectorised 2-D passes over the whole bit matrix.  The cheap
-tests (frequency, block frequency, runs, longest run, templates, serial,
-approximate entropy, cusum) reduce to scalar decision math per sequence; the
-expensive ones (rank, DFT, universal, linear complexity, random excursions)
-run through the batch-native kernels of :mod:`repro.engine.heavy` on the
-packed backend, so the full 15-test suite is pool-free by default.  The
-process pool survives only as an explicit opt-in fallback (``processes >
-1``) for tests without a usable batch kernel — the uint8 backend, mixed
-lengths, or a :class:`~repro.engine.heavy.BatchFallback` geometry.
+re-scanning the same bitstream), every input — a list of sequences (one
+sequence included), a bit matrix, a packed matrix or a prebuilt context —
+becomes one :class:`~repro.engine.context.BatchContext` whose statistics are
+computed with single vectorised passes over the whole batch.  Each test then
+takes one of two routes, recorded as the ``path`` attribute of its
+``dispatch`` span and the ``repro_engine_tests_total{path}`` counter:
 
-Which path each test actually took is recorded per report in
-:attr:`EngineReport.execution_paths` (``"batched"`` / ``"inline"`` /
-``"pooled"``).  Results are bit-identical to running each test directly on
-each sequence — asserted by ``tests/test_engine_parity.py`` and
+* ``batched`` — a batch-native kernel evaluates the whole batch at once:
+  the five heavyweight tests (rank, DFT, universal, linear complexity,
+  random excursions) through :mod:`repro.engine.heavy`;
+* ``inline`` — the test's scalar decision runs per sequence on the shared
+  statistics: the cheap tests (frequency, block frequency, runs, longest
+  run, templates, serial, approximate entropy, cusum), the FIPS and
+  hardware-model tests, and any heavy-test geometry whose kernel raises
+  :class:`~repro.engine.heavy.BatchFallback`.
+
+Results are bit-identical to running each test directly on each sequence —
+asserted by ``tests/test_engine_parity.py`` and
 ``tests/test_heavy_batch_parity.py``.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 import repro.obs as obs
-from repro.engine.context import (
-    DEFAULT_BACKEND,
-    BatchContext,
-    SequenceContext,
-    validate_backend,
-)
+from repro.engine.context import BatchContext
 from repro.engine.heavy import BatchFallback
-from repro.engine.packed import WORD_DTYPE, PackedMatrix
+from repro.engine.packed import PackedMatrix
 from repro.engine.registry import (
     DEFAULT_REGISTRY,
     NIST_NUMBER_TO_ID,
@@ -45,7 +41,7 @@ from repro.engine.registry import (
     TestRegistry,
     TestSpec,
 )
-from repro.nist.common import BitsLike, TestResult, to_bits
+from repro.nist.common import BitsLike, TestResult
 
 __all__ = ["EngineReport", "run_batch"]
 
@@ -56,7 +52,7 @@ _TEST_SECONDS = obs.histogram(
 )
 _TESTS_TOTAL = obs.counter(
     "repro_engine_tests_total",
-    "Per-sequence test evaluations by execution path (batched/inline/pooled).",
+    "Per-sequence test evaluations by execution path (batched/inline).",
     labels=("path",),
 )
 _BITS_EVALUATED = obs.counter(
@@ -72,14 +68,6 @@ class EngineReport:
     n: int
     results: Dict[str, TestResult] = field(default_factory=dict)
     errors: Dict[str, str] = field(default_factory=dict)
-    #: Compute backend the shared statistics ran on ("packed" word kernels
-    #: or the "uint8" reference paths); P-values are identical either way.
-    backend: str = "uint8"
-    #: Execution path per test id: "batched" (batch-native kernel over the
-    #: whole batch), "inline" (per-sequence scalar in this process) or
-    #: "pooled" (per-sequence scalar in a worker process).  Benchmarks and
-    #: the fleet summary read this to prove the pool-free path was taken.
-    execution_paths: Dict[str, str] = field(default_factory=dict)
 
     def passed(self, alpha: float = 0.01) -> bool:
         """True when every test that ran accepted the randomness hypothesis."""
@@ -92,31 +80,6 @@ class EngineReport:
     def p_values(self) -> Dict[str, float]:
         """Primary P-value per executed test."""
         return {tid: result.p_value for tid, result in self.results.items()}
-
-
-def _pool_worker(payload):
-    """Run one (test, sequence) pair in a worker process.
-
-    Only tests from the default registry are pooled, so the worker can
-    resolve the test id against its own imported copy.  The sequence ships
-    either as raw uint8 bits (``"bits"``) or — when the parent batch was
-    packed-only — as that row's packed 64-bit words (``"words"``, 1/8th the
-    pickle traffic), unpacked lazily here in the worker.
-    """
-    test_id, kind, raw, n, kwargs = payload
-    if kind == "words":
-        words = np.frombuffer(raw, dtype=WORD_DTYPE).reshape(1, -1)
-        bits = PackedMatrix(words, n).row(0)
-    else:
-        bits = np.frombuffer(raw, dtype=np.uint8)
-    context = SequenceContext(bits)
-    test = DEFAULT_REGISTRY.resolve(test_id)
-    try:
-        return "ok", test.run(context, **kwargs)
-    except Exception as exc:  # noqa: BLE001 - any test failure becomes a report entry
-        # Return the exception itself so skip_errors=False can re-raise the
-        # original type, exactly like the inline path.
-        return "error", exc
 
 
 def _describe_error(exc: Exception) -> str:
@@ -135,18 +98,17 @@ def run_batch(
     sequences: Union[np.ndarray, PackedMatrix, BatchContext, Iterable[BitsLike]],
     tests: Optional[Sequence[TestSpec]] = None,
     parameters: Optional[Dict[TestSpec, Dict[str, object]]] = None,
-    processes: Optional[int] = None,
     registry: Optional[TestRegistry] = None,
     skip_errors: bool = True,
-    backend: str = DEFAULT_BACKEND,
 ) -> List[EngineReport]:
     """Evaluate ``tests`` on every sequence in ``sequences``.
 
     Parameters
     ----------
     sequences:
-        Iterable of bit sequences (any ``BitsLike``), a 2-D
-        ``(num_sequences, n)`` uint8 matrix straight from
+        Iterable of equal-length bit sequences (any ``BitsLike``; a single
+        sequence is a one-row batch), a 2-D ``(num_sequences, n)`` uint8
+        matrix straight from
         :meth:`~repro.trng.source.EntropySource.generate_matrix` — the
         zero-copy fast path used by the block-native source layer — or a
         prepacked :class:`~repro.engine.packed.PackedMatrix` (e.g. from
@@ -156,11 +118,8 @@ def run_batch(
         A prebuilt :class:`~repro.engine.context.BatchContext` — e.g. the
         preseeded window of a streaming context via
         :meth:`BatchContext.from_streaming` — is used as-is, statistics
-        already cached in it included; its own backend wins over the
-        ``backend`` argument.
-        Equal-length sequences are stacked into one bit matrix and share
-        vectorised statistics; mixed lengths fall back to per-sequence
-        contexts.
+        already cached in it included.  Sequences of different lengths
+        raise ``ValueError``.
     tests:
         Test specs resolvable by the registry — canonical ids
         (``"nist.serial"``, ``"fips.poker"``, ``"hw.platform"``), NIST
@@ -168,71 +127,35 @@ def run_batch(
         NIST tests.
     parameters:
         Optional per-test keyword arguments keyed by any resolvable spec.
-    processes:
-        Explicit opt-in fallback knob.  When > 1, ``expensive`` tests of the
-        default registry that could *not* take a batch-native kernel (uint8
-        backend, mixed lengths, single sequences, or a
-        :class:`~repro.engine.heavy.BatchFallback` geometry) are fanned out
-        over a process pool of that size; on the default packed batch path
-        the pool is never touched.
     registry:
         Registry to resolve specs against (default:
-        :data:`~repro.engine.registry.DEFAULT_REGISTRY`).  Pool dispatch is
-        only available for the default registry, since workers re-resolve
-        tests by id.
+        :data:`~repro.engine.registry.DEFAULT_REGISTRY`).
     skip_errors:
         When True (default), any exception from a test is recorded in
         :attr:`EngineReport.errors` instead of aborting the batch, so one
         misbehaving test cannot leave the other reports partially filled.
-    backend:
-        ``"packed"`` (default) computes the cheap shared statistics on the
-        64-bits-per-word kernels of :mod:`repro.engine.packed`; ``"uint8"``
-        forces the byte-per-bit reference paths.  P-values are bit-identical
-        either way (the backend is recorded in
-        :attr:`EngineReport.backend`).
 
     Returns
     -------
     list of EngineReport
         One report per input sequence, in input order.
     """
-    with obs.trace("run_batch", backend=backend):
-        return _run_batch(
-            sequences, tests, parameters, processes, registry, skip_errors, backend
-        )
+    with obs.trace("run_batch"):
+        return _run_batch(sequences, tests, parameters, registry, skip_errors)
 
 
 def _run_batch(
     sequences: Union[np.ndarray, PackedMatrix, BatchContext, Iterable[BitsLike]],
     tests: Optional[Sequence[TestSpec]],
     parameters: Optional[Dict[TestSpec, Dict[str, object]]],
-    processes: Optional[int],
     registry: Optional[TestRegistry],
     skip_errors: bool,
-    backend: str,
 ) -> List[EngineReport]:
     """The traced body of :func:`run_batch` (runs under its root span)."""
-    validate_backend(backend)
     registry = registry if registry is not None else DEFAULT_REGISTRY
     with obs.span("pack"):
-        batch: Optional[BatchContext] = None
-        if isinstance(sequences, BatchContext):
-            # Prebuilt (possibly preseeded) context: run on it directly so
-            # its cached statistics are reused, not recomputed.
-            batch = sequences
-        elif isinstance(sequences, PackedMatrix):
-            batch = BatchContext(sequences, backend=backend)
-        elif isinstance(sequences, np.ndarray) and sequences.ndim == 2:
-            batch = BatchContext(BatchContext.as_matrix(sequences), backend=backend)
-        if batch is not None:
-            if batch.num_sequences == 0:
-                return []
-            arrays: Optional[List[np.ndarray]] = None
-            num_sequences = batch.num_sequences
-        else:
-            arrays = [to_bits(sequence) for sequence in sequences]
-            num_sequences = len(arrays)
-        if not num_sequences:
+        batch = BatchContext.from_sequences(sequences)
+        if batch.num_sequences == 0:
             return []
         specs = list(tests) if tests is not None else sorted(NIST_NUMBER_TO_ID)
         # Dedupe after resolution (first occurrence wins): the same test
@@ -254,26 +177,9 @@ def _run_batch(
                     "the same test was keyed under multiple aliases"
                 )
             params[test_id] = dict(kwargs)
-
-        if batch is None:
-            lengths = {arr.size for arr in arrays}
-            if len(lengths) == 1 and len(arrays) > 1:
-                batch = BatchContext(np.vstack(arrays), backend=backend)
-        if batch is not None:
-            contexts: List[SequenceContext] = list(batch.contexts())
-            reports = [
-                EngineReport(n=batch.n, backend=batch.backend)
-                for _ in range(num_sequences)
-            ]
-        else:
-            # Mixed-length fallback: per-sequence contexts on the uint8 paths.
-            contexts = [SequenceContext(arr) for arr in arrays]
-            reports = [EngineReport(n=int(arr.size), backend="uint8") for arr in arrays]
-    _BITS_EVALUATED.inc(sum(report.n for report in reports))
-
-    pool_allowed = (
-        processes is not None and processes > 1 and registry is DEFAULT_REGISTRY
-    )
+        contexts = batch.contexts()
+        reports = [EngineReport(n=batch.n) for _ in contexts]
+    _BITS_EVALUATED.inc(batch.n * len(reports))
 
     def run_inline(test: RegisteredTest, kwargs: Dict[str, object]) -> None:
         # The dispatch span covers the per-sequence test evaluations; the
@@ -293,90 +199,39 @@ def _run_batch(
         _TESTS_TOTAL.inc(len(reports), path="inline")
         with obs.span("decision", test=test.id):
             for report, (ok, value) in zip(reports, outcomes):
-                report.execution_paths[test.id] = "inline"
                 if ok:
                     report.results[test.id] = value  # type: ignore[assignment]
                 else:
                     report.errors[test.id] = _describe_error(value)  # type: ignore[arg-type]
 
-    pooled: List[RegisteredTest] = []
     for test in resolved:
         kwargs = params.get(test.id, {})
-        if (
-            batch is not None
-            and test.batch_runner is not None
-            and batch.backend == "packed"
-        ):
-            # Batch-native kernel over the whole packed batch: the pool-free
-            # default for the heavyweight tests.
-            try:
-                with obs.span("dispatch", test=test.id, path="batched") as dispatch_span:
-                    outcomes = test.run_batch(batch, **kwargs)
-            except BatchFallback:
-                # Parameters outside the kernel's fast path: rerun this one
-                # test per sequence (pooled only if explicitly opted in).
-                if pool_allowed and test.expensive:
-                    pooled.append(test)
-                else:
-                    run_inline(test, kwargs)
-                continue
-            except Exception as exc:  # noqa: BLE001 - see skip_errors docs
-                if not skip_errors:
-                    raise
-                # Batch kernels validate parameters once for the whole
-                # batch (all rows share n), so the error is uniform.
-                message = _describe_error(exc)
-                _TESTS_TOTAL.inc(len(reports), path="batched")
-                for report in reports:
-                    report.execution_paths[test.id] = "batched"
-                    report.errors[test.id] = message
-                continue
-            _TEST_SECONDS.observe(dispatch_span.duration_s, test=test.id)
-            _TESTS_TOTAL.inc(len(reports), path="batched")
-            with obs.span("decision", test=test.id):
-                for report, outcome in zip(reports, outcomes):
-                    report.execution_paths[test.id] = "batched"
-                    report.results[test.id] = outcome
-        elif pool_allowed and test.expensive:
-            pooled.append(test)
-        else:
+        if test.batch_runner is None:
             run_inline(test, kwargs)
-
-    if pooled:
-        _TESTS_TOTAL.inc(len(pooled) * len(reports), path="pooled")
-        if arrays is not None:
-            payloads = [("bits", arr.tobytes(), int(arr.size)) for arr in arrays]
-        else:
-            packed = batch.packed_only()
-            if packed is not None:
-                # Packed-only batch: ship each row's 64-bit words (1/8th the
-                # bytes) and let the worker unpack its own row lazily.
-                payloads = [
-                    ("words", np.ascontiguousarray(packed.words[i]).tobytes(), batch.n)
-                    for i in range(num_sequences)
-                ]
-            else:
-                payloads = [("bits", row.tobytes(), batch.n) for row in batch.matrix]
-        pooled_ids = ",".join(test.id for test in pooled)
-        with obs.span("dispatch", test=pooled_ids, path="pooled"):
-            with ProcessPoolExecutor(max_workers=processes) as pool:
-                futures = {}
-                for test in pooled:
-                    kwargs = params.get(test.id, {})
-                    for index, (kind, raw, length) in enumerate(payloads):
-                        future = pool.submit(
-                            _pool_worker, (test.id, kind, raw, length, kwargs)
-                        )
-                        futures[future] = (index, test.id)
-                        reports[index].execution_paths[test.id] = "pooled"
-                for future in as_completed(futures):
-                    index, test_id = futures[future]
-                    status, outcome = future.result()
-                    if status == "ok":
-                        reports[index].results[test_id] = outcome
-                    elif skip_errors:
-                        reports[index].errors[test_id] = _describe_error(outcome)
-                    else:
-                        raise outcome
+            continue
+        # Batch-native kernel over the whole packed batch.
+        try:
+            with obs.span("dispatch", test=test.id, path="batched") as dispatch_span:
+                outcomes = test.run_batch(batch, **kwargs)
+        except BatchFallback:
+            # Parameters outside the kernel's fast path: rerun this one
+            # test per sequence.
+            run_inline(test, kwargs)
+            continue
+        except Exception as exc:  # noqa: BLE001 - see skip_errors docs
+            if not skip_errors:
+                raise
+            # Batch kernels validate parameters once for the whole batch
+            # (all rows share n), so the error is uniform.
+            message = _describe_error(exc)
+            _TESTS_TOTAL.inc(len(reports), path="batched")
+            for report in reports:
+                report.errors[test.id] = message
+            continue
+        _TEST_SECONDS.observe(dispatch_span.duration_s, test=test.id)
+        _TESTS_TOTAL.inc(len(reports), path="batched")
+        with obs.span("decision", test=test.id):
+            for report, outcome in zip(reports, outcomes):
+                report.results[test.id] = outcome
 
     return reports

@@ -3,16 +3,14 @@
 The paper's central resource-sharing idea is that the hardware block derives
 the common sub-statistics of a bit sequence (ones count, run boundaries,
 block sums, cyclic pattern counters) *once* and feeds every on-the-fly test
-from the same registers.  :class:`SequenceContext` reproduces that in
-software: it wraps one bit sequence and lazily computes and memoizes every
-derived statistic the statistical tests draw from, so a suite run touches
-each bit O(1) times instead of once per test.
-
-:class:`BatchContext` lifts the same statistics to a batch of equal-length
-sequences: each statistic is computed with one vectorised 2-D numpy pass
-over the whole ``(num_sequences, n)`` bit matrix, and the per-sequence
-:class:`SequenceContext` views returned by :meth:`BatchContext.context`
-transparently read their row out of the shared result.
+from the same registers.  :class:`BatchContext` reproduces that in software
+for a batch of equal-length sequences: each statistic is computed lazily,
+with one pass of the packed 64-bits-per-word kernels of
+:mod:`repro.engine.packed` over the whole ``(num_sequences, n)`` batch, and
+cached.  :class:`SequenceContext` is the per-sequence view the tests read:
+:meth:`BatchContext.context` returns row views of a batch, and
+``SequenceContext(bits)`` is row 0 of a one-row batch, so every statistic
+has one implementation.
 
 Every statistic is integer-valued, so a test that computes its decision
 statistic from context values produces *bit-identical* P-values to the
@@ -31,13 +29,7 @@ from repro.engine import packed as _packed
 from repro.engine.packed import PackedMatrix, pack_matrix
 from repro.nist.common import BitsLike, to_bits
 
-__all__ = [
-    "SequenceContext",
-    "BatchContext",
-    "BACKENDS",
-    "DEFAULT_BACKEND",
-    "validate_backend",
-]
+__all__ = ["SequenceContext", "BatchContext"]
 
 _KERNEL_CALLS = obs.counter(
     "repro_packed_kernel_invocations_total",
@@ -61,25 +53,6 @@ class SupportsWindowContext(Protocol):
 
     def window_context(self, nbits: Optional[int] = None) -> "BatchContext":
         ...
-
-#: Recognised compute backends for batch statistics.
-BACKENDS = ("packed", "uint8")
-
-#: The engine default: 64-bits-per-word popcount kernels for the shared
-#: statistics, uint8 reference paths for everything else.  Both backends
-#: produce bit-identical statistics (and therefore P-values).
-DEFAULT_BACKEND = "packed"
-
-
-def validate_backend(backend: str) -> str:
-    """Return ``backend`` if recognised, raise ``ValueError`` otherwise.
-
-    The one validation (and error message) shared by every layer that takes
-    a backend knob — context, batch executor, platform, campaign, fleet.
-    """
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
-    return backend
 
 
 def _window_weights(m: int) -> np.ndarray:
@@ -120,19 +93,19 @@ def _run_values_and_lengths(arr: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 class SequenceContext:
-    """Lazily computed, memoized shared statistics of one bit sequence.
+    """Shared statistics of one bit sequence: a row view of a batch.
 
     Tests draw their raw statistics (the values the paper's hardware counters
     would hold) from the context; each statistic is derived at most once per
-    sequence and shared by every test that needs it — e.g. the serial and
+    batch and shared by every test that needs it — e.g. the serial and
     approximate-entropy tests share the 4-bit cyclic pattern counters (and
     the 3-/2-bit counters folded from them), and the frequency, runs and
     FIPS monobit tests share the ones count.
 
-    Pattern and template counters always come from a
-    :class:`BatchContext`'s packed kernels: a batch-backed context reads its
-    row, and a standalone context wraps its bits in a one-row batch on first
-    use.
+    Every statistic is read out of a :class:`BatchContext`: a batch-backed
+    context (:meth:`BatchContext.context`) reads its row of the shared
+    arrays, and ``SequenceContext(bits)`` wraps its bits in a one-row batch,
+    so each statistic has exactly one implementation.
 
     Parameters
     ----------
@@ -141,21 +114,14 @@ class SequenceContext:
     """
 
     def __init__(self, bits: BitsLike, *, _batch: Optional["BatchContext"] = None, _row: int = 0):
+        if _batch is None:
+            _batch = BatchContext(to_bits(bits)[np.newaxis, :])
         self._batch = _batch
         self._row = _row
-        # Batch-backed contexts resolve their row lazily: when the batch is
-        # packed and every requested statistic has a packed kernel, the
-        # uint8 matrix is never materialised at all.
-        self._bits: Optional[np.ndarray] = to_bits(bits) if _batch is None else None
-        self._ones: Optional[int] = None
-        self._walk_extremes: Optional[Tuple[int, int, int]] = None
-        self._num_runs: Optional[int] = None
+        # The row's uint8 bits are resolved lazily: on a packed batch whose
+        # statistics all have packed kernels they are never unpacked.
+        self._bits: Optional[np.ndarray] = None
         self._runs: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        self._block_sums: Dict[int, np.ndarray] = {}
-        self._block_longest: Dict[int, np.ndarray] = {}
-        self._pattern_counts: Dict[Tuple[int, bool], np.ndarray] = {}
-        self._block_value_counts: Dict[int, np.ndarray] = {}
-        self._solo: Optional["BatchContext"] = None
 
     # ------------------------------------------------------------- basics
     @property
@@ -172,27 +138,18 @@ class SequenceContext:
     @property
     def n(self) -> int:
         """Sequence length."""
-        if self._batch is not None:
-            return self._batch.n
-        return int(self._bits.size)
+        return self._batch.n
 
     def last_bit(self) -> int:
         """The final bit of the sequence (without unpacking a packed batch)."""
         if self.n == 0:
             raise ValueError("empty sequence has no last bit")
-        if self._bits is None:
-            return int(self._batch.last_bits()[self._row])
-        return int(self._bits[-1])
+        return int(self._batch.last_bits()[self._row])
 
     @property
     def ones(self) -> int:
         """Total number of ones (the hardware's frequency counter)."""
-        if self._ones is None:
-            if self._batch is not None:
-                self._ones = int(self._batch.ones()[self._row])
-            else:
-                self._ones = int(self._bits.sum())
-        return self._ones
+        return int(self._batch.ones()[self._row])
 
     @property
     def zeros(self) -> int:
@@ -202,31 +159,12 @@ class SequenceContext:
     # ------------------------------------------------------------- walks / runs
     def walk_extremes(self) -> Tuple[int, int, int]:
         """``(S_max, S_min, S_final)`` of the ±1 random walk (cusum test)."""
-        if self._walk_extremes is None:
-            if self._batch is not None:
-                s_max, s_min, s_final = self._batch.walk_extremes()
-                self._walk_extremes = (
-                    int(s_max[self._row]),
-                    int(s_min[self._row]),
-                    int(s_final[self._row]),
-                )
-            elif self.n == 0:
-                self._walk_extremes = (0, 0, 0)
-            else:
-                walk = np.cumsum(2 * self.bits.astype(np.int64) - 1)
-                self._walk_extremes = (int(walk.max()), int(walk.min()), int(walk[-1]))
-        return self._walk_extremes
+        s_max, s_min, s_final = self._batch.walk_extremes()
+        return int(s_max[self._row]), int(s_min[self._row]), int(s_final[self._row])
 
     def num_runs(self) -> int:
         """Total number of runs (V_n(obs) of the runs test)."""
-        if self._num_runs is None:
-            if self._batch is not None:
-                self._num_runs = int(self._batch.num_runs()[self._row])
-            elif self.n == 0:
-                self._num_runs = 0
-            else:
-                self._num_runs = int(np.count_nonzero(np.diff(self.bits.astype(np.int8)))) + 1
-        return self._num_runs
+        return int(self._batch.num_runs()[self._row])
 
     def runs(self) -> Tuple[np.ndarray, np.ndarray]:
         """Per-run ``(bit values, run lengths)`` arrays, in sequence order."""
@@ -260,73 +198,26 @@ class SequenceContext:
     # ------------------------------------------------------------- block stats
     def block_sums(self, block_length: int) -> np.ndarray:
         """Ones count of each full ``block_length``-bit block (int64)."""
-        if block_length not in self._block_sums:
-            if self._batch is not None:
-                self._block_sums[block_length] = self._batch.block_sums(block_length)[self._row]
-            else:
-                num_blocks = self.n // block_length
-                trimmed = self.bits[: num_blocks * block_length]
-                self._block_sums[block_length] = trimmed.reshape(
-                    num_blocks, block_length
-                ).sum(axis=1, dtype=np.int64)
-        return self._block_sums[block_length]
+        return self._batch.block_sums(block_length)[self._row]
 
     def block_longest_one_runs(self, block_length: int) -> np.ndarray:
         """Longest run of ones within each full block (longest-run test)."""
-        if block_length not in self._block_longest:
-            if self._batch is not None:
-                self._block_longest[block_length] = self._batch.block_longest_one_runs(
-                    block_length
-                )[self._row]
-            else:
-                self._block_longest[block_length] = _matrix_block_longest_one_runs(
-                    self.bits[np.newaxis, :], block_length
-                )[0]
-        return self._block_longest[block_length]
+        return self._batch.block_longest_one_runs(block_length)[self._row]
 
     def block_value_counts(self, block_length: int) -> np.ndarray:
         """Histogram of non-overlapping block values (FIPS poker test)."""
-        if block_length not in self._block_value_counts:
-            if self._batch is not None:
-                self._block_value_counts[block_length] = self._batch.block_value_counts(
-                    block_length
-                )[self._row]
-            else:
-                num_blocks = self.n // block_length
-                trimmed = self.bits[: num_blocks * block_length].astype(np.int64)
-                values = trimmed.reshape(num_blocks, block_length) @ _window_weights(block_length)
-                self._block_value_counts[block_length] = np.bincount(
-                    values, minlength=1 << block_length
-                ).astype(np.int64)
-        return self._block_value_counts[block_length]
+        return self._batch.block_value_counts(block_length)[self._row]
 
     # ------------------------------------------------------------- pattern stats
-    def _counter_batch(self) -> "BatchContext":
-        """The batch serving this sequence's pattern and template counters.
-
-        A standalone context wraps its bits in a one-row batch on first use,
-        so the counters have a single (packed) implementation.
-        """
-        if self._batch is None:
-            if self._solo is None:
-                self._solo = BatchContext(self.bits[np.newaxis, :])
-            return self._solo
-        return self._batch
-
     def pattern_counts(self, m: int, *, cyclic: bool = True) -> np.ndarray:
         """Occurrences of every overlapping ``m``-bit pattern (2^m entries)."""
-        key = (m, cyclic)
-        if key not in self._pattern_counts:
-            self._pattern_counts[key] = self._counter_batch().pattern_counts(
-                m, cyclic=cyclic
-            )[self._row]
-        return self._pattern_counts[key]
+        return self._batch.pattern_counts(m, cyclic=cyclic)[self._row]
 
     def template_block_counts(
         self, template: Sequence[int], block_length: int, num_blocks: int
     ) -> np.ndarray:
         """Occurrences of ``template`` wholly inside each block (template tests)."""
-        return self._counter_batch().template_block_counts(
+        return self._batch.template_block_counts(
             template, block_length, num_blocks
         )[self._row]
 
@@ -338,18 +229,17 @@ class BatchContext:
     ``(num_sequences, n)`` bit matrix and cached; per-sequence contexts
     created with :meth:`context` read their row from the shared arrays.
 
-    With the default ``backend="packed"`` the cheap shared statistics (ones,
-    block ones, runs, longest run per block, walk extremes) run on the
-    64-bits-per-word :mod:`repro.engine.packed` kernels over a memoized
-    packed view of the matrix; ``backend="uint8"`` computes them on the
-    uint8 reference paths instead.  Cyclic pattern counts and per-block
-    template counts (tests 7, 8, 11, 12) have one implementation, the packed
-    counter kernels, on both backends — a uint8 batch packs on demand, as
-    the heavy kernels do.  The two backends are bit-identical statistic for
-    statistic.
+    The statistics run on the 64-bits-per-word :mod:`repro.engine.packed`
+    kernels over a memoized packed view of the matrix.  The input alone
+    selects the byte-per-bit route, and only where no packed kernel exists:
+    empty sequences (``n = 0``), :meth:`block_sums` and
+    :meth:`block_longest_one_runs` geometries outside
+    :func:`~repro.engine.packed.supports_block_ones` /
+    :func:`~repro.engine.packed.supports_block_longest_one_runs`, and
+    :meth:`block_value_counts`.
     The constructor also accepts a prepacked
     :class:`~repro.engine.packed.PackedMatrix` directly, in which case the
-    uint8 matrix is only materialised if a non-packed statistic needs it.
+    uint8 matrix is only materialised if a byte-per-bit statistic needs it.
     """
 
     @staticmethod
@@ -369,22 +259,48 @@ class BatchContext:
         return matrix
 
     @classmethod
-    def from_blocks(
-        cls, blocks: Iterable[np.ndarray], backend: str = DEFAULT_BACKEND
-    ) -> "BatchContext":
-        """Batch context over equal-length source blocks (1-D uint8 arrays)."""
-        return cls(np.vstack([np.atleast_1d(block) for block in blocks]), backend=backend)
+    def from_blocks(cls, blocks: Iterable[BitsLike]) -> "BatchContext":
+        """Batch context stacking equal-length sequences (any ``BitsLike``).
 
-    def __init__(
-        self,
-        matrix: Union[np.ndarray, PackedMatrix, Sequence[BitsLike]],
-        backend: str = DEFAULT_BACKEND,
-    ):
-        self.backend = validate_backend(backend)
+        A single sequence becomes a one-row batch and an empty iterable an
+        empty one; mixed lengths raise ``ValueError`` naming the lengths.
+        """
+        arrays = [to_bits(block) for block in blocks]
+        lengths = sorted({arr.size for arr in arrays})
+        if len(lengths) > 1:
+            raise ValueError(
+                f"a batch needs equal-length sequences, got lengths {lengths}"
+            )
+        if not arrays:
+            return cls(np.zeros((0, 0), dtype=np.uint8))
+        return cls(np.vstack(arrays))
+
+    @classmethod
+    def from_sequences(
+        cls,
+        sequences: Union["BatchContext", PackedMatrix, np.ndarray, Iterable[BitsLike]],
+    ) -> "BatchContext":
+        """The batch context of any engine input.
+
+        A prebuilt context (e.g. a preseeded streaming window) is returned
+        as-is, a :class:`~repro.engine.packed.PackedMatrix` is wrapped, a
+        2-D ``(num_sequences, n)`` matrix is validated by :meth:`as_matrix`
+        without copying, and any other iterable of sequences is stacked by
+        :meth:`from_blocks`.
+        """
+        if isinstance(sequences, BatchContext):
+            return sequences
+        if isinstance(sequences, PackedMatrix):
+            return cls(sequences)
+        if isinstance(sequences, np.ndarray) and sequences.ndim == 2:
+            return cls(cls.as_matrix(sequences))
+        return cls.from_blocks(sequences)
+
+    def __init__(self, matrix: Union[np.ndarray, PackedMatrix, Sequence[BitsLike]]):
         if isinstance(matrix, PackedMatrix):
             # Prepacked input (e.g. the fleet scheduler's round matrix):
-            # the uint8 view is only materialised if a non-packed statistic
-            # asks for it (or the packer retained its source matrix).
+            # the uint8 view is only materialised if a byte-per-bit
+            # statistic asks for it (or the packer retained its source).
             self._packed: Optional[PackedMatrix] = matrix
             self._matrix: Optional[np.ndarray] = matrix.source
             self._n = matrix.n
@@ -494,9 +410,6 @@ class BatchContext:
             return self._matrix[row]
         return self._packed.row(row)
 
-    def _use_packed(self) -> bool:
-        return self.backend == "packed" and self._n > 0
-
     @property
     def num_sequences(self) -> int:
         return int(self._num_sequences)
@@ -518,7 +431,7 @@ class BatchContext:
     # ------------------------------------------------------------- statistics
     def ones(self) -> np.ndarray:
         if self._ones is None:
-            if self._use_packed():
+            if self._n > 0:
                 _KERNEL_CALLS.inc(kernel="ones_count")
                 self._ones = _packed.ones_count(self.packed())
             else:
@@ -528,7 +441,7 @@ class BatchContext:
     def last_bits(self) -> np.ndarray:
         """The final bit of every sequence (uint8, no unpack on packed input)."""
         if self._last_bits is None:
-            if self._use_packed():
+            if self._n > 0:
                 _KERNEL_CALLS.inc(kernel="last_bits")
                 self._last_bits = _packed.last_bits(self.packed())
             else:
@@ -537,22 +450,21 @@ class BatchContext:
 
     def walk_extremes(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         if self._walk_extremes is None:
-            if self._use_packed():
+            if self._n > 0:
                 _KERNEL_CALLS.inc(kernel="walk_extremes")
                 self._walk_extremes = _packed.walk_extremes(self.packed())
             else:
-                walk = np.cumsum(2 * self.matrix.astype(np.int64) - 1, axis=1)
-                self._walk_extremes = (walk.max(axis=1), walk.min(axis=1), walk[:, -1])
+                zeros = np.zeros(self.num_sequences, dtype=np.int64)
+                self._walk_extremes = (zeros, zeros, zeros)
         return self._walk_extremes
 
     def num_runs(self) -> np.ndarray:
         if self._num_runs is None:
-            if self._use_packed():
+            if self._n > 0:
                 _KERNEL_CALLS.inc(kernel="transition_counts")
                 self._num_runs = _packed.transition_counts(self.packed()) + 1
             else:
-                changes = np.count_nonzero(np.diff(self.matrix.astype(np.int8), axis=1), axis=1)
-                self._num_runs = (changes + 1).astype(np.int64)
+                self._num_runs = np.zeros(self.num_sequences, dtype=np.int64)
         return self._num_runs
 
     def block_sums(self, block_length: int) -> np.ndarray:
@@ -562,7 +474,7 @@ class BatchContext:
                 if provided is not None:
                     self._block_sums[block_length] = provided
                     return provided
-            if self._use_packed() and _packed.supports_block_ones(block_length, self.n):
+            if _packed.supports_block_ones(block_length, self.n):
                 _KERNEL_CALLS.inc(kernel="block_ones")
                 self._block_sums[block_length] = _packed.block_ones(
                     self.packed(), block_length
@@ -582,9 +494,7 @@ class BatchContext:
                 if provided is not None:
                     self._block_longest[block_length] = provided
                     return provided
-            if self._use_packed() and _packed.supports_block_longest_one_runs(
-                block_length, self.n
-            ):
+            if _packed.supports_block_longest_one_runs(block_length, self.n):
                 _KERNEL_CALLS.inc(kernel="block_longest_one_runs")
                 self._block_longest[block_length] = _packed.block_longest_one_runs(
                     self.packed(), block_length

@@ -1,7 +1,7 @@
-"""Batched kernels for the five heavyweight NIST tests (pool-free path).
+"""Batched kernels for the five heavyweight NIST tests.
 
 After the cheap tests went batch-native on shared statistics and the packed
-backend, the only per-sequence Python left on the engine's hot path was the
+kernels, the only per-sequence Python left on the engine's hot path was the
 five expensive tests — rank, DFT, universal, linear complexity and random
 excursions(+variant) — historically fanned out over a process pool.  This
 module computes each of them across a whole

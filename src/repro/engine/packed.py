@@ -1,4 +1,4 @@
-"""Packed-bitplane backend: 64-bits-per-word kernels for the shared statistics.
+"""Packed bit-planes: 64-bits-per-word kernels for the shared statistics.
 
 The paper's hardware derives its shared sub-statistics with word-parallel
 logic over the raw bit stream; the software engine historically spent a full
@@ -25,8 +25,9 @@ word; every kernel masks those tail bits out, and :class:`PackedMatrix`
 validates on construction that the padding really is zero.
 
 Every kernel is integer-exact and produces *bit-identical* values to the
-``uint8`` reference paths in :mod:`repro.engine.context` (asserted by
-``tests/test_packed.py``), so backend choice never changes a P-value.
+scalar ``repro.nist`` references and to brute-force numpy counts (asserted
+by ``tests/test_packed.py`` and ``tests/test_packed_counters.py``), so the
+packed route never changes a P-value.
 
 The popcount primitive uses :func:`numpy.bitwise_count` where available
 (numpy >= 2.0) and falls back to a byte lookup table on older numpy.
@@ -196,7 +197,7 @@ def unpack_rows(packed: PackedMatrix, start: int, stop: int) -> np.ndarray:
 
     Slices the retained source when one exists; otherwise only the requested
     rows' words are unpacked, so chunked consumers (the batched heavy-test
-    kernels, the pooled fallback) never materialise the full matrix.
+    kernels) never materialise the full matrix.
     """
     if packed.source is not None:
         return packed.source[start:stop]

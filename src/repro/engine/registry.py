@@ -89,11 +89,6 @@ class RegisteredTest:
         ``runner(context, **params) -> TestResult``.
     aliases:
         Alternative lookup keys (the NIST number, its string form, ...).
-    expensive:
-        True for tests whose scalar path is dominated by per-sequence work
-        (matrix rank, Berlekamp–Massey, ...).  When such a test has no
-        usable ``batch_runner`` the executor may fan it out over a process
-        pool as an explicit opt-in fallback (``processes > 1``).
     batch_runner:
         Optional batch-native entry point
         ``batch_runner(batch, **params) -> List[TestResult]`` evaluating the
@@ -107,7 +102,6 @@ class RegisteredTest:
     name: str
     runner: Callable[..., TestResult]
     aliases: Tuple[TestSpec, ...] = ()
-    expensive: bool = False
     batch_runner: Optional[Callable[..., List[TestResult]]] = None
 
     def run(self, context: SequenceContext, **params) -> TestResult:
@@ -276,9 +270,8 @@ def build_default_registry() -> TestRegistry:
         15: _reference_runner(random_excursions_variant_test),
     }
     # The five heavyweight tests: batch-native kernels evaluate a whole
-    # packed batch at once (the pool-free default); the scalar runner stays
-    # the per-sequence reference, and `expensive` keeps the process pool
-    # available as an explicit opt-in fallback.
+    # packed batch at once; the scalar runner stays the per-sequence
+    # reference and the route for BatchFallback geometries.
     batch_runners: Dict[int, Callable[..., List[TestResult]]] = {
         5: _heavy.batch_rank,
         6: _heavy.batch_dft,
@@ -287,7 +280,6 @@ def build_default_registry() -> TestRegistry:
         14: _heavy.batch_random_excursions,
         15: _heavy.batch_random_excursions_variant,
     }
-    pool_candidates = set(batch_runners)
     for number, runner in nist_runners.items():
         registry.register(
             RegisteredTest(
@@ -295,7 +287,6 @@ def build_default_registry() -> TestRegistry:
                 name=NIST_TEST_NAMES[number],
                 runner=runner,
                 aliases=(number, str(number), f"nist.{number}"),
-                expensive=number in pool_candidates,
                 batch_runner=batch_runners.get(number),
             )
         )
@@ -320,7 +311,6 @@ def build_default_registry() -> TestRegistry:
             id="hw.platform",
             name="HW/SW on-the-fly platform",
             runner=_hw_platform_runner,
-            expensive=True,
         )
     )
     return registry

@@ -267,13 +267,9 @@ class FipsBattery:
 
     def run_batch(self, blocks) -> List[FipsReport]:
         """Run the battery on many blocks with one vectorised statistics pass."""
-        from repro.engine.context import BatchContext, SequenceContext
+        from repro.engine.context import BatchContext
 
         arrays = [to_bits(block) for block in blocks]
         for arr in arrays:
             _check_length(arr.size)
-        if len(arrays) > 1:
-            contexts = BatchContext(np.vstack(arrays)).contexts()
-        else:
-            contexts = [SequenceContext(arr) for arr in arrays]
-        return [self.run(context) for context in contexts]
+        return [self.run(context) for context in BatchContext.from_blocks(arrays).contexts()]

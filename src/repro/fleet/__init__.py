@@ -11,7 +11,7 @@ is that aggregation tier, built on the substrate of PRs 1–3:
 * :class:`FleetScheduler` advances the whole fleet in rounds: one sequence
   per device, the entire fleet stacked into a single ``(devices, n)`` uint8
   matrix through :func:`~repro.engine.batch.run_batch` (shared vectorised
-  statistics across devices, optional process-pool sharding), verdicts
+  statistics across devices, evaluated in process), verdicts
   folded back into each device's health state.
 * :class:`FleetReport` aggregates the operations view — health mix over
   time, per-scenario detection probability and latency percentiles,

@@ -84,7 +84,6 @@ class ChaosConfig:
     reorder_rate: float = 0.1
     corrupt_rate: float = 0.1
     snapshot_interval_s: float = 0.2
-    backend: str = "packed"
     streaming: bool = False
     workdir: Optional[str] = None
 
@@ -180,8 +179,6 @@ def _service_command(config: ChaosConfig, spool: Path, restore: bool) -> List[st
         "0",
         "--design",
         config.design,
-        "--backend",
-        config.backend,
         "--host",
         "127.0.0.1",
         "--port",
@@ -250,9 +247,7 @@ def _control_run(config: ChaosConfig, n_chunks: Dict[str, List[str]]) -> Tuple[
     registry = DeviceRegistry(config.design)
     for device_id in n_chunks:
         registry.register(device_id)
-    with FleetScheduler(
-        registry, backend=config.backend, streaming=config.streaming
-    ) as scheduler:
+    with FleetScheduler(registry, streaming=config.streaming) as scheduler:
         for device_id, chunks in n_chunks.items():
             for seq, bits in enumerate(chunks):
                 scheduler.ingest(device_id, bits, seq=seq)

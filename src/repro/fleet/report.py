@@ -183,19 +183,10 @@ class FleetReport(JsonCsvExportMixin):
     mix: Dict[str, int]
     rounds: List[FleetRound] = field(default_factory=list)
     scenarios: List[FleetScenarioStats] = field(default_factory=list)
-    #: Compute backend the scheduler evaluated rounds on ("packed" 64-bit
-    #: word kernels or the "uint8" reference paths); verdicts are identical.
-    backend: str = "packed"
     #: Whether the scheduler ran in streaming mode (long-lived per-device
     #: packed rings with O(1) window rolls instead of per-round matrix
     #: rebuilds); verdicts are identical either way.
     streaming: bool = False
-    #: Canonical test id -> execution path the engine took for it
-    #: ("batched" batch-native kernel / "inline" per-sequence scalar /
-    #: "pooled" process-pool fallback), as observed on the scheduler's
-    #: most recent evaluations.  Empty for reports saved before the
-    #: batch-native heavy kernels existed.
-    execution_paths: Dict[str, str] = field(default_factory=dict)
 
     # ------------------------------------------------------------- selection
     @property
@@ -272,16 +263,16 @@ class FleetReport(JsonCsvExportMixin):
                 "fail_after": self.fail_after,
                 "seed": self.seed,
                 "mix": dict(self.mix),
-                "backend": self.backend,
                 "streaming": self.streaming,
             },
             "rounds": [fleet_round.to_dict() for fleet_round in self.rounds],
             "scenarios": [stats.to_dict() for stats in self.scenarios],
-            "execution_paths": dict(sorted(self.execution_paths.items())),
         }
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "FleetReport":
+        # Reports saved by older versions also carry a backend and per-test
+        # execution paths; neither changed a verdict, so both are ignored.
         config = data["config"]
         return cls(
             design=config["design"],
@@ -294,16 +285,8 @@ class FleetReport(JsonCsvExportMixin):
             mix={str(k): v for k, v in config["mix"].items()},
             rounds=[FleetRound.from_dict(r) for r in data["rounds"]],
             scenarios=[FleetScenarioStats.from_dict(s) for s in data["scenarios"]],
-            # Reports saved before the packed backend existed ran on uint8.
-            backend=config.get("backend", "uint8"),
             # Reports saved before streaming mode existed ran the matrix path.
             streaming=bool(config.get("streaming", False)),
-            # Reports saved before the batch-native heavy kernels recorded
-            # no per-test paths.
-            execution_paths={
-                str(k): str(v)
-                for k, v in data.get("execution_paths", {}).items()
-            },
         )
 
     # to_json / from_json / save_json / to_csv / save_csv come from
@@ -313,8 +296,6 @@ class FleetReport(JsonCsvExportMixin):
 def build_report(
     registry: "DeviceRegistry",
     rounds: List[FleetRound],
-    backend: str = "packed",
-    execution_paths: Optional[Dict[str, str]] = None,
     streaming: bool = False,
 ) -> FleetReport:
     """Aggregate a registry's device health into a :class:`FleetReport`.
@@ -364,7 +345,5 @@ def build_report(
         mix=registry.scenario_counts(),
         rounds=list(rounds),
         scenarios=scenarios,
-        backend=backend,
-        execution_paths=dict(execution_paths or {}),
         streaming=streaming,
     )

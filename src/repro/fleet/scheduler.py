@@ -9,12 +9,9 @@ it through :func:`repro.engine.batch.run_batch`, whose
 :class:`~repro.engine.context.BatchContext` computes the shared statistics
 of the design's test subset in single vectorised 2-D passes over the whole
 fleet.  The per-device verdicts then fold back into each device's
-health-state machine exactly as per-device monitoring would.
-
-For large fleets the round matrix can additionally shard over a process pool
-(``processes > 1``): each worker evaluates a contiguous device shard with the
-same engine path and returns reduced verdicts, so only booleans and test
-numbers cross the process boundary.
+health-state machine exactly as per-device monitoring would.  Every round
+and every ingest is evaluated in this process: the round matrix is packed
+into 64-bit words once and handed to the engine as one batch.
 
 ``benchmarks/bench_fleet.py`` pins the speedup: the multiplexed round must
 stay >= 5x faster than the naive per-device loop at a 512-device fleet.
@@ -23,7 +20,6 @@ stay >= 5x faster than the naive per-device loop at a 512-device fleet.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
 
@@ -32,7 +28,6 @@ import numpy as np
 import repro.obs as obs
 from repro.core.monitor import MonitorEvent
 from repro.engine.batch import EngineReport, run_batch
-from repro.engine.context import DEFAULT_BACKEND, validate_backend
 from repro.engine.packed import PackedMatrix, pack_matrix
 from repro.engine.registry import NIST_NUMBER_TO_ID
 from repro.engine.streaming import StreamingBatchContext, StreamingContext
@@ -182,30 +177,6 @@ class _IngestStream:
     last_seq: Optional[int] = None
 
 
-def _shard_worker(payload) -> Tuple[List[FleetVerdict], Dict[str, str]]:
-    """Evaluate one device shard in a worker process.
-
-    The shard travels as raw bytes (+ shape) and comes back as reduced
-    verdicts plus the shard's per-test execution paths; tests resolve
-    against the worker's own default registry, like
-    :func:`~repro.engine.batch.run_batch`'s fallback pool workers.
-    On the packed backend the bytes are the shard's 64-bit words — 1/8th
-    the serialisation traffic of the uint8 representation.
-    """
-    raw, rows, n, tests, alpha, backend = payload
-    if backend == "packed":
-        num_words = (n + 63) // 64
-        words = np.frombuffer(raw, dtype="<u8").reshape(rows, num_words)
-        shard = PackedMatrix(words, n)
-    else:
-        shard = np.frombuffer(raw, dtype=np.uint8).reshape(rows, n)
-    reports = run_batch(shard, tests=list(tests), backend=backend)
-    paths: Dict[str, str] = {}
-    for report in reports:
-        paths.update(report.execution_paths)
-    return [_reduce_report(report, alpha) for report in reports], paths
-
-
 class FleetScheduler:
     """Advances a whole device fleet in multiplexed engine rounds.
 
@@ -215,47 +186,19 @@ class FleetScheduler:
         The populated :class:`~repro.fleet.registry.DeviceRegistry`; the
         scheduler evaluates with the registry's shared design point (test
         subset, sequence length) and alpha.
-    processes:
-        When > 1, each round's fleet matrix is sharded over a process pool of
-        that size (one contiguous device shard per worker).
-    min_shard_devices:
-        Sharding is skipped for rounds smaller than this — below it, the
-        pool's serialisation overhead dominates the vectorised evaluation.
-    backend:
-        Compute backend of the engine's shared statistics: ``"packed"``
-        (default) packs each round's fleet matrix into 64-bit words once
-        and evaluates it on the popcount kernels of
-        :mod:`repro.engine.packed`; ``"uint8"`` keeps the byte-per-bit
-        reference paths.  Verdicts are bit-identical either way; the choice
-        is recorded in :attr:`FleetReport.backend
-        <repro.fleet.report.FleetReport.backend>`.
     streaming:
-        Keep per-shard streaming state instead of rebuilding matrices.
+        Keep per-device streaming state instead of rebuilding matrices.
         Rounds push the fleet's new words into one long-lived
         :class:`~repro.engine.streaming.StreamingBatchContext` (one packed
         ring per device) and evaluate the preseeded rolled window; ingest
         keeps a per-device :class:`~repro.engine.streaming.StreamingContext`
         and accepts *arbitrary* chunk sizes — partial sequences pend in the
         device's ring (see :meth:`pending_bits`) instead of being rejected.
-        Verdicts are bit-identical to the matrix path.  Streaming rounds
-        always evaluate inline (the rings are process-local state, so
-        pool sharding does not apply).
+        Verdicts are bit-identical to the matrix path.
     """
 
-    def __init__(
-        self,
-        registry: DeviceRegistry,
-        processes: Optional[int] = None,
-        min_shard_devices: int = 256,
-        backend: str = DEFAULT_BACKEND,
-        streaming: bool = False,
-    ):
-        if processes is not None and processes < 1:
-            raise ValueError("processes must be positive (or None)")
+    def __init__(self, registry: DeviceRegistry, streaming: bool = False):
         self.registry = registry
-        self.processes = processes
-        self.min_shard_devices = min_shard_devices
-        self.backend = validate_backend(backend)
         self.streaming = bool(streaming)
         # Round-path fleet ring (built on first streaming round, rebuilt only
         # when the device count changes) and per-device ingest streams.
@@ -272,42 +215,15 @@ class FleetScheduler:
         #: replayed rounds are not re-journaled).
         self.journal: Optional["IngestJournal"] = None
         self.rounds: List[FleetRound] = []
-        #: Canonical test id -> execution path ("batched" / "inline" /
-        #: "pooled") observed on the most recent evaluations; surfaced in
-        #: :attr:`FleetReport.execution_paths
-        #: <repro.fleet.report.FleetReport.execution_paths>` to prove the
-        #: heavy tests ran pool-free on the batch kernels.
-        self.execution_paths: Dict[str, str] = {}
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._closed = False
-        # Guards lazy pool creation/shutdown: ingest evaluation runs outside
-        # the fleet lock, so two large requests (or a request racing close())
-        # may reach the pool concurrently.
-        self._pool_lock = threading.Lock()
         #: Serialises fleet mutations (rounds, ingest, registration) between
         #: the scheduler's owner and the HTTP service threads; re-entrant so
         #: the service can call locked scheduler methods under it.
         self.lock = threading.RLock()
 
     # ------------------------------------------------------------- evaluation
-    def _fold_paths(self, paths: Dict[str, str]) -> None:
-        """Merge observed per-test execution paths under the fleet lock.
-
-        ``evaluate_matrix`` runs outside the lock on the ingest path, so
-        two service threads (or a request racing ``report()``'s snapshot
-        iteration) would otherwise mutate and read the dict concurrently.
-        The lock is re-entrant, so the locked ``run_round`` path folds
-        through here unchanged.
-        """
-        with self.lock:
-            self.execution_paths.update(paths)
-
-    def _fold_reports(self, reports: List[EngineReport], alpha: float) -> List[FleetVerdict]:
-        """Reduce engine reports to verdicts, folding their execution paths."""
-        paths: Dict[str, str] = {}
-        for report in reports:
-            paths.update(report.execution_paths)
-        self._fold_paths(paths)
+    def _verdicts(self, reports: List[EngineReport]) -> List[FleetVerdict]:
+        """Reduce engine reports to per-device verdicts."""
+        alpha = self.registry.alpha
         return [_reduce_report(report, alpha) for report in reports]
 
     def evaluate_matrix(
@@ -316,69 +232,13 @@ class FleetScheduler:
         """One fleet matrix through the engine.
 
         ``matrix`` is a ``(devices, n)`` uint8 matrix or a prepacked
-        :class:`~repro.engine.packed.PackedMatrix`; on the packed backend a
-        uint8 input is packed once here, so every downstream consumer —
-        inline evaluation, pool shards, the engine's kernels — reads the
-        64-bit words instead of re-deriving them.  Shards over the process
-        pool when configured and the round is large enough; the inline and
-        sharded paths produce identical verdicts (asserted in
-        ``tests/test_fleet.py``).
+        :class:`~repro.engine.packed.PackedMatrix`; a uint8 input is packed
+        once here, so the engine's kernels read the 64-bit words instead of
+        re-deriving them.
         """
-        # Normalise the container to the backend so the inline, shard-encode
-        # and shard-decode paths all agree on the byte layout.
-        if self.backend == "packed" and not isinstance(matrix, PackedMatrix):
+        if not isinstance(matrix, PackedMatrix):
             matrix = pack_matrix(matrix, keep_source=True)
-        elif self.backend == "uint8" and isinstance(matrix, PackedMatrix):
-            matrix = matrix.unpack()
-        rows = matrix.num_rows if isinstance(matrix, PackedMatrix) else matrix.shape[0]
-        n = matrix.n if isinstance(matrix, PackedMatrix) else matrix.shape[1]
-        tests = self.registry.tests
-        alpha = self.registry.alpha
-        pooled = (
-            self.processes is not None
-            and self.processes > 1
-            and rows >= self.min_shard_devices
-        )
-        if not pooled:
-            reports = run_batch(matrix, tests=list(tests), backend=self.backend)
-            return self._fold_reports(reports, alpha)
-        shards = [s for s in np.array_split(np.arange(rows), self.processes) if len(s)]
-        # On the packed backend the shards ship as 64-bit words: 1/8th the
-        # bytes across the pool pipe.
-        shard_rows = matrix.words if isinstance(matrix, PackedMatrix) else matrix
-        payloads = [
-            (
-                np.ascontiguousarray(shard_rows[shard]).tobytes(),
-                len(shard),
-                n,
-                tests,
-                alpha,
-                self.backend,
-            )
-            for shard in shards
-        ]
-        # The pool is created lazily and reused across rounds: spawning
-        # workers (and re-importing numpy + repro in them) per round would
-        # cost more than the sharding saves.  After close() no new pool is
-        # ever spawned (a late request would leak its workers); the rare
-        # request racing shutdown falls back to inline evaluation instead.
-        with self._pool_lock:
-            if self._closed:
-                pool = None
-            else:
-                if self._pool is None:
-                    self._pool = ProcessPoolExecutor(max_workers=self.processes)
-                pool = self._pool
-        if pool is None:
-            reports = run_batch(matrix, tests=list(tests), backend=self.backend)
-            return self._fold_reports(reports, alpha)
-        verdicts: List[FleetVerdict] = []
-        paths: Dict[str, str] = {}
-        for shard_verdicts, shard_paths in pool.map(_shard_worker, payloads):
-            verdicts.extend(shard_verdicts)
-            paths.update(shard_paths)
-        self._fold_paths(paths)
-        return verdicts
+        return self._verdicts(run_batch(matrix, tests=list(self.registry.tests)))
 
     def _round_stream_verdicts(self, matrix: np.ndarray) -> List[FleetVerdict]:
         """Streaming round path: push new words, evaluate the rolled window.
@@ -386,17 +246,17 @@ class FleetScheduler:
         The fleet ring lives across rounds (rebuilt only when the device
         count changes); each round is one vectorised push of the fleet's
         new words, and the engine runs on the preseeded window context —
-        the round matrix is never re-packed or re-scanned.  Always inline:
-        the rings are process-local state, so pool sharding does not apply.
+        the round matrix is never re-packed or re-scanned.
         """
         rows, n = matrix.shape
         with self.lock:
             if self._round_stream is None or self._round_stream.num_rows != rows:
-                self._round_stream = StreamingBatchContext(rows, n, backend=self.backend)
+                self._round_stream = StreamingBatchContext(rows, n)
             stream = self._round_stream
         stream.push(matrix)
-        reports = run_batch(stream.window_context(), tests=list(self.registry.tests))
-        return self._fold_reports(reports, self.registry.alpha)
+        return self._verdicts(
+            run_batch(stream.window_context(), tests=list(self.registry.tests))
+        )
 
     # ------------------------------------------------------------- rounds
     def run_round(self) -> FleetRound:
@@ -537,9 +397,7 @@ class FleetScheduler:
                             context.window_context(),
                             tests=list(self.registry.tests),
                         )
-                        verdicts.extend(
-                            self._fold_reports(reports, self.registry.alpha)
-                        )
+                        verdicts.extend(self._verdicts(reports))
                         entry.pending = 0
             else:
                 if arr.size == 0 or arr.size % n != 0:
@@ -613,9 +471,7 @@ class FleetScheduler:
                 entry = _IngestStream(
                     lock=threading.Lock(),
                     context=(
-                        StreamingContext(self.registry.n, backend=self.backend)
-                        if self.streaming
-                        else None
+                        StreamingContext(self.registry.n) if self.streaming else None
                     ),
                 )
                 self._ingest_streams[device_id] = entry
@@ -642,8 +498,7 @@ class FleetScheduler:
         Covers the registry's device specs and health machines (sources
         pickled with their RNG state — see
         :meth:`~repro.fleet.registry.DeviceRegistry.state_dict` for the
-        trust caveat), the round history, the execution-path record, the
-        round-path fleet ring and every device's ingest entry (ring,
+        trust caveat), the round history, the round-path fleet ring and every device's ingest entry (ring,
         pending bits, idempotency high-water mark).
 
         The capture is crash-consistent: locks are taken in the same order
@@ -678,11 +533,9 @@ class FleetScheduler:
                 }
             return {
                 "version": 1,
-                "backend": self.backend,
                 "streaming": self.streaming,
                 "registry": self.registry.state_dict(),
                 "rounds": [fleet_round.to_dict() for fleet_round in self.rounds],
-                "execution_paths": dict(self.execution_paths),
                 "round_stream": (
                     None
                     if self._round_stream is None
@@ -698,28 +551,28 @@ class FleetScheduler:
     def load_state(self, state: Dict[str, Any]) -> None:
         """Restore a :meth:`state_dict` capture into this scheduler.
 
-        The backend and streaming mode must match the capture (they shape
-        the per-device state), and the registry configuration is validated
-        by :meth:`~repro.fleet.registry.DeviceRegistry.load_state`.  After
-        the restore, subsequent rounds and sequenced ingests are
-        bit-identical to the uninterrupted run.
+        The streaming mode must match the capture (it shapes the per-device
+        state), and the registry configuration is validated by
+        :meth:`~repro.fleet.registry.DeviceRegistry.load_state`.  After the
+        restore, subsequent rounds and sequenced ingests are bit-identical
+        to the uninterrupted run.  Captures that still carry the retired
+        backend and execution-path keys load unchanged: both backends
+        produced bit-identical statistics, so those keys are ignored.
         """
         if state.get("version") != 1:
             raise ValueError(
                 f"unsupported fleet state version {state.get('version')!r}"
             )
-        for key, expected in (("backend", self.backend), ("streaming", self.streaming)):
-            if state[key] != expected:
-                raise ValueError(
-                    f"fleet state mismatch: {key} is {state[key]!r}, "
-                    f"this scheduler has {expected!r}"
-                )
+        if state["streaming"] != self.streaming:
+            raise ValueError(
+                f"fleet state mismatch: streaming is {state['streaming']!r}, "
+                f"this scheduler has {self.streaming!r}"
+            )
         with self.lock:
             self.registry.load_state(state["registry"])
             self.rounds = [
                 FleetRound.from_dict(entry) for entry in state["rounds"]
             ]
-            self.execution_paths = dict(state["execution_paths"])
             round_stream = state["round_stream"]
             self._round_stream = (
                 None
@@ -743,18 +596,12 @@ class FleetScheduler:
 
     # ------------------------------------------------------------- lifecycle
     def close(self) -> None:
-        """Shut down the sharding pool; later rounds/ingests run inline.
+        """End the scheduler's lifetime (also the ``with`` block exit).
 
-        Waits for in-flight shard maps, so an ingest racing shutdown
-        completes instead of failing mid-evaluation, and marks the
-        scheduler closed so no request can respawn a pool nothing would
-        ever shut down.
+        Evaluation runs in this process and holds no external resources,
+        so there is nothing to release; owners (the CLI, the service, the
+        benchmarks) still close every scheduler they scope.
         """
-        with self._pool_lock:
-            self._closed = True
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
 
     def __enter__(self) -> "FleetScheduler":
         return self
@@ -766,10 +613,4 @@ class FleetScheduler:
     def report(self) -> FleetReport:
         """Aggregate the fleet's current state into a :class:`FleetReport`."""
         with self.lock:
-            return build_report(
-                self.registry,
-                self.rounds,
-                backend=self.backend,
-                execution_paths=dict(self.execution_paths),
-                streaming=self.streaming,
-            )
+            return build_report(self.registry, self.rounds, streaming=self.streaming)

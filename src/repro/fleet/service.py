@@ -191,12 +191,21 @@ class FleetService:
                 400,
                 "device_id must be URL-safe (letters, digits, '.', '_', '~', '-')",
             )
+        # Reject everything registry.register() would, before the
+        # write-ahead append below: a journaled registration must replay.
         scenario = payload.get("scenario")
-        if scenario is not None and not isinstance(scenario, str):
-            raise ServiceError(400, "scenario must be a catalogue label string")
+        if scenario is not None:
+            if not isinstance(scenario, str):
+                raise ServiceError(400, "scenario must be a catalogue label string")
+            try:
+                self.registry.catalog.get(scenario)
+            except ValueError as exc:
+                raise ServiceError(400, str(exc))
         seed = payload.get("seed")
-        if seed is not None and not isinstance(seed, int):
-            raise ServiceError(400, "seed must be an integer")
+        if seed is not None and (
+            isinstance(seed, bool) or not isinstance(seed, int) or seed < 0
+        ):
+            raise ServiceError(400, "seed must be a non-negative integer")
         with self._lock:
             if device_id in self.registry:
                 raise ServiceError(409, f"device {device_id!r} already registered")
@@ -360,9 +369,7 @@ class FleetService:
             "design": report.design,
             "n": report.n,
             "alpha": report.alpha,
-            "backend": report.backend,
             "streaming": report.streaming,
-            "execution_paths": dict(sorted(report.execution_paths.items())),
             "num_devices": report.num_devices,
             "rounds_completed": report.rounds_completed,
             "health": health,

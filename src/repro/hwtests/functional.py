@@ -12,12 +12,11 @@ Every loader draws its statistics from a shared
 raw bits: the ones count, walk extremes, run count, per-block sums and
 longest runs, and cyclic pattern counts are each derived once and shared by
 every unit that needs them — mirroring how the paper's hardware counters
-share sub-statistics.  When the context is backed by a
-:class:`~repro.engine.context.BatchContext` (the platform's batch path), the
-statistics are computed in single vectorised passes over the whole batch,
-on the packed 64-bits-per-word kernels when the batch's backend is
-``"packed"``; the template-matching units read the packed per-block
-template counters.  Only a periodic non-overlapping template (whose greedy
+share sub-statistics.  Every context is backed by a
+:class:`~repro.engine.context.BatchContext` (on the platform's batch path,
+the whole batch), so the statistics are computed in single vectorised
+passes of the packed 64-bits-per-word kernels; the template-matching units
+read the packed per-block template counters.  Only a periodic non-overlapping template (whose greedy
 scan skips past each match) still reads raw bits.
 
 The functional and cycle-accurate paths are verified equivalent by

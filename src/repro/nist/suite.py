@@ -150,16 +150,14 @@ class NistSuite:
                 report.errors[number] = str(exc)
         return report
 
-    def run_batch(
-        self, sequences, processes: Optional[int] = None
-    ) -> List[SuiteReport]:
-        """Run the configured tests over a batch of sequences.
+    def run_batch(self, sequences) -> List[SuiteReport]:
+        """Run the configured tests over a batch of equal-length sequences.
 
-        Cheap tests are vectorised across the sequence axis through a shared
-        :class:`~repro.engine.context.BatchContext`; with ``processes > 1``
-        the expensive tests fan out over a process pool.  Returns one
-        :class:`SuiteReport` per input sequence, with results bit-identical
-        to calling :meth:`run` on each sequence individually.
+        The batch shares one :class:`~repro.engine.context.BatchContext`:
+        cheap tests read its vectorised statistics, the heavyweight ones run
+        on batch-native kernels.  Returns one :class:`SuiteReport` per input
+        sequence, with results bit-identical to calling :meth:`run` on each
+        sequence individually.
         """
         from repro.engine.batch import run_batch
         from repro.engine.registry import NIST_NUMBER_TO_ID
@@ -168,7 +166,6 @@ class NistSuite:
             sequences,
             tests=list(self.tests),
             parameters=self.parameters,
-            processes=processes,
             skip_errors=self.skip_errors,
         )
         reports: List[SuiteReport] = []

@@ -136,9 +136,9 @@ class EntropySource(abc.ABC):
 
         With ``packed=True`` the matrix is returned as a
         :class:`~repro.engine.packed.PackedMatrix` (64 bits per word, the
-        uint8 source retained) ready for the engine's packed backend — the
+        uint8 source retained) ready for the engine's packed kernels — the
         emitted *stream* is identical either way, only the container
-        changes, so seeded runs stay reproducible across backends.
+        changes, so seeded runs stay reproducible across containers.
         """
         if num_sequences < 0:
             raise ValueError("num_sequences must be non-negative")

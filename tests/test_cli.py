@@ -256,13 +256,6 @@ class TestFleetCommand:
         assert code == 2
         assert "--rounds must be >= 1" in text
 
-    def test_fleet_bad_processes_is_an_error(self):
-        code, text = run_cli(
-            ["fleet", "run", "--devices", "4", "--rounds", "1", "--processes", "0"]
-        )
-        assert code == 2
-        assert "processes must be positive" in text
-
     def test_fleet_serve_zero_rounds_with_export_is_an_error(self):
         """Regression: serve --rounds 0 --json silently wrote no artifact."""
         code, text = run_cli(

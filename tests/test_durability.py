@@ -28,6 +28,9 @@ from repro.fleet import (
     recover_fleet,
 )
 from repro.fleet.durability import (
+    SNAPSHOT_FORMAT,
+    SNAPSHOT_NAME,
+    SNAPSHOT_VERSION,
     IngestJournal,
     atomic_write_bytes,
     atomic_write_json,
@@ -44,7 +47,7 @@ def make_fleet(streaming=False, devices=8, seed=5):
     registry = DeviceRegistry("n128_light")
     mix = FleetMix.parse("healthy-ideal:0.7,biased-0.60:0.3")
     registry.populate(devices, mix, seed=seed)
-    return FleetScheduler(registry, backend="packed", streaming=streaming)
+    return FleetScheduler(registry, streaming=streaming)
 
 
 def round_key(fleet_round):
@@ -162,8 +165,8 @@ class TestStreamingStateRoundTrip:
         n = 128
         rng = np.random.default_rng(seed)
         bits = rng.integers(0, 2, 512, dtype=np.uint8)
-        reference = StreamingContext(n, backend="packed")
-        restored_feed = StreamingContext(n, backend="packed")
+        reference = StreamingContext(n)
+        restored_feed = StreamingContext(n)
         reference.push(bits)
         restored_feed.push(bits[:split])
         restored = StreamingContext.from_state(restored_feed.state_dict())
@@ -179,7 +182,7 @@ class TestStreamingStateRoundTrip:
             assert restored.window_stats() == reference.window_stats()
 
     def test_partial_tail_byte_survives(self):
-        context = StreamingContext(128, backend="packed")
+        context = StreamingContext(128)
         context.push(np.ones(5, dtype=np.uint8))  # < one byte pending
         clone = StreamingContext.from_state(context.state_dict())
         assert clone.total_bits == 5 and clone.tail_bits == 5
@@ -191,7 +194,7 @@ class TestStreamingStateRoundTrip:
         assert clone.window_stats() == context.window_stats()
 
     def test_batched_rows_round_trip(self):
-        batch = StreamingBatchContext(4, 64, backend="packed")
+        batch = StreamingBatchContext(4, 64)
         rng = np.random.default_rng(0)
         batch.push(rng.integers(0, 2, (4, 97), dtype=np.uint8))
         clone = StreamingBatchContext.from_state(batch.state_dict())
@@ -253,9 +256,7 @@ class TestSchedulerStateRoundTrip:
         state = scheduler.state_dict()
 
         registry = DeviceRegistry.from_state(state["registry"])
-        clone = FleetScheduler(
-            registry, backend=state["backend"], streaming=state["streaming"]
-        )
+        clone = FleetScheduler(registry, streaming=state["streaming"])
         clone.load_state(state)
         assert health_map(clone) == health_map(scheduler)
         assert len(clone.rounds) == len(scheduler.rounds)
@@ -273,9 +274,7 @@ class TestSchedulerStateRoundTrip:
         for seq in range(3):
             scheduler.ingest(device, rng.integers(0, 2, 128, dtype=np.uint8), seq=seq)
         state = scheduler.state_dict()
-        clone = FleetScheduler(
-            DeviceRegistry.from_state(state["registry"]), backend="packed"
-        )
+        clone = FleetScheduler(DeviceRegistry.from_state(state["registry"]))
         clone.load_state(state)
         assert clone.last_ingest_seq(device) == 2
         with pytest.raises(DuplicateIngestError):
@@ -421,7 +420,9 @@ class TestDurableFleetRecovery:
         assert payload["format"] == "repro-fleet-snapshot"
         assert payload["version"] == 1 and payload["wal_generation"] == 7
         state, generation = read_snapshot(tmp_path / "snap.json")
-        assert generation == 7 and state["backend"] == "packed"
+        assert generation == 7 and state["streaming"] is False
+        # Retired keys are no longer written (older captures still load).
+        assert "backend" not in state and "execution_paths" not in state
         scheduler.close()
 
     def test_unknown_snapshot_version_is_rejected(self, tmp_path):
@@ -445,3 +446,88 @@ class TestDurableFleetRecovery:
         )
         assert stats.errors == 2
         scheduler.close()
+
+
+# ------------------------------------------------- older capture compatibility
+def parent_format(state):
+    """``state`` as older builds wrote it: a compute-backend key on the
+    scheduler and on every streaming ring (here the retired ``"uint8"``
+    one), plus the fleet's per-test execution-path record."""
+    state = dict(
+        state,
+        backend="uint8",
+        execution_paths={"nist.frequency": "inline", "nist.rank": "pooled"},
+    )
+    if state["round_stream"] is not None:
+        state["round_stream"] = dict(state["round_stream"], backend="uint8")
+    state["ingest_streams"] = {
+        device_id: dict(
+            spec,
+            context=(
+                None if spec["context"] is None else dict(spec["context"], backend="uint8")
+            ),
+        )
+        for device_id, spec in state["ingest_streams"].items()
+    }
+    return state
+
+
+class TestOlderCaptureCompatibility:
+    @pytest.mark.parametrize("streaming", [False, True])
+    def test_parent_format_capture_restores_bit_identically(self, tmp_path, streaming):
+        """A snapshot carrying the retired backend and execution-path keys
+        restores, and its next sequenced ingests reach the same verdicts
+        as the uninterrupted scheduler."""
+        live = make_fleet(streaming=streaming)
+        live.run_round()
+        devices = live.registry.device_ids()[:3]
+        rng = np.random.default_rng(11)
+        chunks = {
+            device: [(rng.random(128) < 0.6).astype(np.uint8) for _ in range(6)]
+            for device in devices
+        }
+        for seq in range(3):
+            for device in devices:
+                live.ingest(device, chunks[device][seq], seq=seq)
+        atomic_write_json(
+            tmp_path / SNAPSHOT_NAME,
+            {
+                "format": SNAPSHOT_FORMAT,
+                "version": SNAPSHOT_VERSION,
+                "wal_generation": 0,
+                "scheduler": encode_state(parent_format(live.state_dict())),
+            },
+        )
+        recovered, stats = recover_fleet(tmp_path)
+        assert stats.errors == 0
+        assert health_map(recovered) == health_map(live)
+
+        def outcome(events):
+            return [
+                (event.report.passed, tuple(event.report.failing_tests), event.state)
+                for event in events
+            ]
+
+        for seq in range(3, 6):
+            for device in devices:
+                expected = outcome(live.ingest(device, chunks[device][seq], seq=seq))
+                got = outcome(recovered.ingest(device, chunks[device][seq], seq=seq))
+                assert got == expected
+        assert health_map(recovered) == health_map(live)
+        assert round_key(recovered.run_round()) == round_key(live.run_round())
+        recovered.close()
+        live.close()
+
+    def test_parent_format_streaming_state_loads(self):
+        stream = StreamingContext(128)
+        stream.push(np.ones(256, dtype=np.uint8))
+        clone = StreamingContext.from_state(dict(stream.state_dict(), backend="uint8"))
+        assert clone.window_stats() == stream.window_stats()
+        batch = StreamingBatchContext(2, 64)
+        batch.push(np.zeros((2, 70), dtype=np.uint8))
+        batch_clone = StreamingBatchContext.from_state(
+            dict(batch.state_dict(), backend="uint8")
+        )
+        np.testing.assert_array_equal(
+            batch_clone.window_matrix().words, batch.window_matrix().words
+        )

@@ -136,11 +136,11 @@ class TestRunBatch:
             run_batch(batch_sequences[:1], tests=[1],
                       parameters={1: {"bogus_kwarg": 1}}, skip_errors=False)
 
-    def test_pooled_error_reraised_with_original_type(self, batch_sequences):
-        """skip_errors=False must surface the worker's original exception
+    def test_batched_error_reraised_with_original_type(self, batch_sequences):
+        """skip_errors=False must surface a batch kernel's original exception
         type, matching the inline path."""
-        with pytest.raises(TypeError):
-            run_batch(batch_sequences[:1], tests=[5], processes=2,
+        with pytest.raises(TypeError, match="bogus_kwarg"):
+            run_batch(batch_sequences[:1], tests=[5],
                       parameters={5: {"bogus_kwarg": 1}}, skip_errors=False)
 
     def test_conflicting_parameter_aliases_rejected(self, batch_sequences):
@@ -160,13 +160,12 @@ class TestRunBatch:
         )
         assert reports[0].results["nist.block_frequency"].details["block_length"] == 64
 
-    def test_pooled_non_valueerror_recorded_not_raised(self, batch_sequences):
-        """Regression: _pool_worker only caught ValueError, so any other
-        exception from an expensive test crashed the batch via
-        future.result() even with skip_errors=True."""
+    def test_batched_non_valueerror_recorded_not_raised(self, batch_sequences):
+        """A non-ValueError from a batch-native kernel becomes a per-report
+        error string with its type, like the inline path's, and the rest of
+        the batch still runs."""
         reports = run_batch(
-            batch_sequences, tests=[1, 5], processes=2,
-            parameters={5: {"bogus_kwarg": 1}},
+            batch_sequences, tests=[1, 5], parameters={5: {"bogus_kwarg": 1}},
         )
         for report in reports:
             assert "nist.rank" in report.errors

@@ -1,7 +1,7 @@
 """Golden engine/reference parity tests.
 
 The acceptance bar of the engine refactor: every test run through a
-``SequenceContext`` (solo or batch-backed, pooled or inline) must produce
+``SequenceContext`` (solo or batch-backed, batched or inline) must produce
 *bit-identical* ``TestResult.p_values`` to the pre-existing direct reference
 functions, on ideal, biased and correlated sources alike.
 """
@@ -139,29 +139,43 @@ class TestBatchParity:
                         report.results[test_id], results[number], (name, number)
                     )
 
-    def test_pool_path_bit_identical(self, golden_sequences, reference_outcomes):
-        bits = golden_sequences["ideal"]
-        results, errors = reference_outcomes["ideal"]
-        reports = run_batch([bits, bits], tests=[5, 6, 9, 10], processes=2)
-        for report in reports:
-            for number in (5, 6, 9, 10):
-                test_id = DEFAULT_REGISTRY.resolve(number).id
-                if number in errors:
-                    assert report.errors[test_id] == errors[number]
-                else:
-                    _assert_identical(
-                        report.results[test_id], results[number], ("pool", number)
-                    )
+    @pytest.mark.parametrize("source_name", ["ideal", "biased", "correlated", "short"])
+    def test_single_sequence_bit_identical(
+        self, golden_sequences, reference_outcomes, source_name
+    ):
+        """One sequence is a one-row batch: run_batch and NistSuite.run give
+        the reference results and the reference error strings."""
+        if source_name == "short":
+            bits = IdealSource(seed=4444).generate(1000).bits
+            results, errors = {}, {}
+            for number, reference in REFERENCE_TESTS.items():
+                try:
+                    results[number] = reference(bits)
+                except ValueError as exc:
+                    errors[number] = str(exc)
+            assert {5, 9} <= set(errors)  # rank and universal reject 1000 bits
+        else:
+            bits = golden_sequences[source_name]
+            results, errors = reference_outcomes[source_name]
+        (report,) = run_batch([bits])
+        suite_report = NistSuite().run(bits)
+        for number in REFERENCE_TESTS:
+            test_id = DEFAULT_REGISTRY.resolve(number).id
+            if number in errors:
+                assert report.errors[test_id] == errors[number]
+                assert suite_report.errors[number] == errors[number]
+            else:
+                label = (source_name, number)
+                _assert_identical(report.results[test_id], results[number], label)
+                _assert_identical(suite_report.results[number], results[number], label)
 
-    def test_mixed_lengths_fall_back_per_sequence(self):
+    def test_mixed_lengths_raise(self):
         short = IdealSource(seed=777).generate(1024).bits
         long = IdealSource(seed=778).generate(2048).bits
-        reports = run_batch([short, long], tests=[1, 3, 13])
-        for bits, report in zip([short, long], reports):
-            assert report.n == bits.size
-            _assert_identical(
-                report.results["nist.frequency"], frequency_test(bits), "mixed"
-            )
+        with pytest.raises(ValueError, match=r"lengths \[1024, 2048\]"):
+            run_batch([short, long, short], tests=[1, 3, 13])
+        with pytest.raises(ValueError, match=r"lengths \[1024, 2048\]"):
+            NistSuite(tests=[1]).run_batch([long, short])
 
     def test_suite_run_batch_matches_suite_run(self, golden_sequences):
         suite = NistSuite(
@@ -201,6 +215,18 @@ class TestFipsParity:
             ]
             for engine_result, reference_result in zip(engine_results, reference.results):
                 assert engine_result == reference_result, (name, reference_result.name)
+
+    def test_battery_single_block_matches_reference(self, fips_blocks):
+        for block in fips_blocks.values():
+            assert FipsBattery().run(block) == fips_battery(block)
+            assert FipsBattery().run_batch([block]) == [fips_battery(block)]
+        short = fips_blocks["ideal"][:100]
+        with pytest.raises(ValueError) as expected:
+            fips_battery(short)
+        for run in (FipsBattery().run, lambda bits: FipsBattery().run_batch([bits])):
+            with pytest.raises(ValueError) as excinfo:
+                run(short)
+            assert str(excinfo.value) == str(expected.value)
 
     def test_battery_run_batch_matches_reference(self, fips_blocks):
         blocks = list(fips_blocks.values())

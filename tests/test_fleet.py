@@ -153,35 +153,17 @@ class TestFleetScheduler:
                 == independent.monitor.failure_rate()
             )
 
-    def test_sharded_rounds_match_inline(self):
-        inline = small_fleet(seed=17)
-        sharded = small_fleet(seed=17)
-        FleetScheduler(inline).run(2)
-        with FleetScheduler(sharded, processes=2, min_shard_devices=4) as scheduler:
-            scheduler.run(2)
-        for a, b in zip(inline, sharded):
-            assert a.state is b.state
-            assert a.monitor.failure_rate() == b.monitor.failure_rate()
-
-    def test_backends_and_containers_agree_on_sharded_verdicts(self):
-        """Any (backend, container) combination yields identical verdicts.
-
-        Regression: a prepacked matrix handed to a sharded uint8-backend
-        scheduler used to ship packed words that the workers decoded as
-        uint8 bytes.
-        """
+    def test_containers_agree_on_verdicts(self):
+        """A uint8 matrix, a prepacked matrix and one that kept its source
+        all evaluate to identical verdicts."""
         from repro.engine.packed import pack_matrix
         from repro.trng.ideal import IdealSource
 
         matrix = IdealSource(seed=21).generate_matrix(8, 128)
         verdicts = []
-        for backend in ("packed", "uint8"):
-            for container in (matrix, pack_matrix(matrix)):
-                with FleetScheduler(
-                    small_fleet(num_devices=8, seed=6),
-                    processes=2, min_shard_devices=4, backend=backend,
-                ) as scheduler:
-                    verdicts.append(scheduler.evaluate_matrix(container))
+        for container in (matrix, pack_matrix(matrix), pack_matrix(matrix, keep_source=True)):
+            with FleetScheduler(small_fleet(num_devices=8, seed=6)) as scheduler:
+                verdicts.append(scheduler.evaluate_matrix(container))
         assert all(v == verdicts[0] for v in verdicts[1:])
 
     def test_evaluate_matrix_verdict_reduction(self):
@@ -301,6 +283,17 @@ class TestStreamingScheduler:
         assert any(failing > 0 for failing, _ in left)  # threats really fire
         assert streaming.report().streaming is True
         assert matrix_mode.report().streaming is False
+
+    def test_older_report_keys_ignored(self):
+        """Reports saved by older versions carry a compute backend and
+        per-test execution paths; both load and are dropped on re-export."""
+        scheduler = FleetScheduler(small_fleet(num_devices=8, seed=5))
+        scheduler.run_round()
+        report = scheduler.report()
+        data = report.to_dict()
+        data["config"]["backend"] = "uint8"
+        data["execution_paths"] = {"nist.frequency": "inline", "nist.rank": "pooled"}
+        assert FleetReport.from_dict(data).to_dict() == report.to_dict()
 
     def test_streaming_report_flag_survives_serialization(self):
         scheduler = FleetScheduler(small_fleet(num_devices=8, seed=5), streaming=True)

@@ -17,9 +17,11 @@ import pytest
 
 from repro.fleet import (
     DeviceRegistry,
+    DurableFleet,
     FleetClient,
     FleetScheduler,
     FleetServiceError,
+    recover_fleet,
     serve,
 )
 from repro.fleet.service import FleetService, ServiceError, _retry_headers
@@ -294,6 +296,46 @@ class TestSequencedIngestOverHttp:
         )
         assert status == 400
         assert "seq must be a non-negative integer" in body["error"]
+
+
+class TestRegistrationValidation:
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"scenario": "healthy-ideal", "seed": -1},
+            {"scenario": "healthy-ideal", "seed": True},
+            {"seed": False},
+            {"scenario": "no-such-threat"},
+        ],
+        ids=["negative-seed", "bool-seed", "bool-seed-external", "unknown-scenario"],
+    )
+    def test_rejected_registration_is_not_journaled(self, tmp_path, payload):
+        """A registration answered with 400 must leave no write-ahead record:
+        replaying one would count a journal error on recovery."""
+        scheduler = FleetScheduler(DeviceRegistry("n128_light", alpha=0.01))
+        durable = DurableFleet(scheduler, tmp_path)
+        durable.start()
+        server = serve(scheduler, host="127.0.0.1", port=0)
+        host, port = server.server_address
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        base = f"http://{host}:{port}"
+        try:
+            status, body, _ = call(
+                base, "POST", "/devices", {"device_id": "bad-dev", **payload}
+            )
+            assert status == 400, body
+            register(base, "good-dev")
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+            durable.close(final_snapshot=False)
+            scheduler.close()
+        recovered, stats = recover_fleet(tmp_path)
+        assert stats.errors == 0
+        assert recovered.registry.device_ids() == ("good-dev",)
+        recovered.close()
 
 
 class TestFleetClient:

@@ -2,18 +2,21 @@
 
 The five heavyweight NIST tests (rank, DFT, universal, linear complexity,
 random excursions + variant) run through :mod:`repro.engine.heavy`'s
-batch-native kernels on the packed backend.  These tests pin the contract of
+batch-native kernels on packed bit-planes.  These tests pin the contract of
 that path on deliberately awkward inputs — lengths that are not multiples of
 64 (live word-padding bits), degenerate all-zeros / all-ones streams,
 single-row batches, inapplicably short sequences — and the dispatch
-semantics: packed batches record ``"batched"``, the uint8 backend stays
-``"inline"``, a :class:`~repro.engine.heavy.BatchFallback` geometry falls
-back per-sequence, and error messages match the scalar reference verbatim.
+semantics, read off the ``path`` attribute of each test's ``dispatch`` span:
+every input container takes ``"batched"``, a
+:class:`~repro.engine.heavy.BatchFallback` geometry falls back to
+``"inline"`` per-sequence evaluation, and error messages match the scalar
+reference verbatim.
 """
 
 import numpy as np
 import pytest
 
+import repro.obs as obs
 from repro.engine import run_batch
 from repro.engine.heavy import BatchFallback, batch_rank
 from repro.engine.context import BatchContext
@@ -60,16 +63,30 @@ def _assert_identical(result, reference):
     assert repr(result.details) == repr(reference.details)
 
 
+def _run_traced(sequences, **kwargs):
+    """``run_batch`` plus the final dispatch path of each test, from its trace."""
+    obs.clear_traces()
+    reports = run_batch(sequences, **kwargs)
+    root = [root for root in obs.TRACER.traces() if root.name == "run_batch"][-1]
+    paths = {
+        span.attributes["test"]: span.attributes["path"]
+        for span in root.children
+        if span.name == "dispatch"
+    }
+    obs.clear_traces()
+    return reports, paths
+
+
 def _check_parity(matrix: np.ndarray, tests=HEAVY_TESTS, params=SMALL_PARAMS):
     """Packed-batch reports must equal the scalar references bit for bit."""
-    reports = run_batch(pack_matrix(matrix), tests=tests, parameters=params)
+    reports, paths = _run_traced(pack_matrix(matrix), tests=tests, parameters=params)
     assert len(reports) == matrix.shape[0]
     for row, report in enumerate(reports):
         for number in tests:
             test_id = NIST_NUMBER_TO_ID[number]
             reference = REFERENCES[number](matrix[row], **params.get(number, {}))
             _assert_identical(report.results[test_id], reference)
-            assert report.execution_paths[test_id] == "batched"
+            assert paths[test_id] == "batched"
     return reports
 
 
@@ -124,20 +141,6 @@ class TestShortSequenceErrors:
 
 
 class TestDispatchSemantics:
-    def test_uint8_backend_stays_inline(self):
-        matrix = _rows(6, rows=3, n=2048)
-        reports = run_batch(
-            matrix, tests=HEAVY_TESTS, parameters=SMALL_PARAMS, backend="uint8"
-        )
-        for row, report in enumerate(reports):
-            for number in HEAVY_TESTS:
-                test_id = NIST_NUMBER_TO_ID[number]
-                assert report.execution_paths[test_id] == "inline"
-                reference = REFERENCES[number](
-                    matrix[row], **SMALL_PARAMS.get(number, {})
-                )
-                _assert_identical(report.results[test_id], reference)
-
     def test_batch_fallback_geometry_runs_inline(self):
         # Non-32x32 rank matrices are outside the packed kernel's fast path:
         # batch_rank raises BatchFallback and the executor falls back to the
@@ -147,39 +150,29 @@ class TestDispatchSemantics:
         with pytest.raises(BatchFallback):
             batch_rank(batch, matrix_rows=16, matrix_cols=16)
         params = {5: {"matrix_rows": 16, "matrix_cols": 16}}
-        reports = run_batch(pack_matrix(matrix), tests=[5], parameters=params)
+        reports, paths = _run_traced(pack_matrix(matrix), tests=[5], parameters=params)
         test_id = NIST_NUMBER_TO_ID[5]
+        assert paths[test_id] == "inline"
         for row, report in enumerate(reports):
-            assert report.execution_paths[test_id] == "inline"
-            reference = binary_matrix_rank_test(
-                matrix[row], matrix_rows=16, matrix_cols=16
-            )
-            _assert_identical(report.results[test_id], reference)
-
-    def test_batch_fallback_geometry_pools_when_opted_in(self):
-        matrix = _rows(9, rows=2, n=2048)
-        params = {5: {"matrix_rows": 16, "matrix_cols": 16}}
-        reports = run_batch(
-            pack_matrix(matrix), tests=[5], parameters=params, processes=2
-        )
-        test_id = NIST_NUMBER_TO_ID[5]
-        for row, report in enumerate(reports):
-            assert report.execution_paths[test_id] == "pooled"
             reference = binary_matrix_rank_test(
                 matrix[row], matrix_rows=16, matrix_cols=16
             )
             _assert_identical(report.results[test_id], reference)
 
     def test_packed_batch_never_pools_heavy_tests(self):
-        # processes > 1 is a fallback knob only: on the packed batch path
-        # the heavy tests still take their batch-native kernels.
+        # The input container never selects the route: a uint8 matrix, a
+        # packed matrix and a one-sequence list all take the batch-native
+        # kernels, and the results match the scalar references.
         matrix = _rows(10, rows=2, n=2048)
-        reports = run_batch(
-            pack_matrix(matrix),
-            tests=HEAVY_TESTS,
-            parameters=SMALL_PARAMS,
-            processes=2,
-        )
-        for report in reports:
+        for sequences in (matrix, pack_matrix(matrix), [matrix[0]]):
+            reports, paths = _run_traced(
+                sequences, tests=HEAVY_TESTS, parameters=SMALL_PARAMS
+            )
             for number in HEAVY_TESTS:
-                assert report.execution_paths[NIST_NUMBER_TO_ID[number]] == "batched"
+                test_id = NIST_NUMBER_TO_ID[number]
+                assert paths[test_id] == "batched"
+                for row, report in enumerate(reports):
+                    reference = REFERENCES[number](
+                        matrix[row], **SMALL_PARAMS.get(number, {})
+                    )
+                    _assert_identical(report.results[test_id], reference)

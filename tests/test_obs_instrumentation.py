@@ -46,13 +46,13 @@ class TestBatchInstrumentation:
 
         def path_sum():
             return sum(
-                totals.value(path=path) for path in ("batched", "inline", "pooled")
+                totals.value(path=path) for path in ("batched", "inline")
             )
 
         bits_before = bits.value()
         paths_before = path_sum()
         freq_before = seconds.count(test="nist.frequency")
-        run_batch(sequences, tests=["nist.frequency", "nist.runs"], backend="packed")
+        run_batch(sequences, tests=["nist.frequency", "nist.runs"])
         assert bits.value() - bits_before == sequences.size
         # Two tests over four sequences: eight per-sequence evaluations,
         # whatever path each test took.
@@ -61,7 +61,7 @@ class TestBatchInstrumentation:
 
     def test_trace_covers_pack_dispatch_decision(self, sequences):
         obs.clear_traces()
-        run_batch(sequences, tests=["nist.frequency"], backend="packed")
+        run_batch(sequences, tests=["nist.frequency"])
         roots = [root for root in obs.TRACER.traces() if root.name == "run_batch"]
         assert roots, "run_batch recorded no root span"
         stages = roots[-1].stage_names()
@@ -82,7 +82,7 @@ class TestKernelInstrumentation:
     def test_packed_kernel_dispatches_counted(self, sequences):
         calls = metric("repro_packed_kernel_invocations_total")
         before = calls.value(kernel="ones_count")
-        ctx = BatchContext(sequences, backend="packed")
+        ctx = BatchContext(sequences)
         ctx.ones()
         assert calls.value(kernel="ones_count") - before == 1
         # Cached on the context: a second read is not a second dispatch.
@@ -90,10 +90,18 @@ class TestKernelInstrumentation:
         assert calls.value(kernel="ones_count") - before == 1
 
     def test_uint8_backend_does_not_touch_kernel_counters(self, sequences):
+        # The uint8 (byte-per-bit) route survives only where the input has
+        # no packed kernel — empty sequences, block geometries outside the
+        # packed kernels, block value counts — and never counts a dispatch.
         calls = metric("repro_packed_kernel_invocations_total")
-        before = calls.value(kernel="ones_count")
-        BatchContext(sequences, backend="uint8").ones()
-        assert calls.value(kernel="ones_count") == before
+        before = {kernel: calls.value(kernel=kernel)
+                  for kernel in ("ones_count", "block_ones", "block_longest_one_runs")}
+        BatchContext(np.zeros((2, 0), dtype=np.uint8)).ones()
+        ctx = BatchContext(sequences)
+        ctx.block_sums(20)
+        ctx.block_longest_one_runs(20)
+        ctx.block_value_counts(4)
+        assert {kernel: calls.value(kernel=kernel) for kernel in before} == before
 
 
 class TestStreamingInstrumentation:

@@ -1,11 +1,12 @@
-"""Packed-bitplane backend: round-trips and bit-exact parity with uint8.
+"""Packed bit-planes: round-trips and bit-exact parity with independent references.
 
 The 64-bits-per-word kernels of :mod:`repro.engine.packed` must produce
-*bit-identical* statistics (and therefore P-values) to the byte-per-bit
-reference paths for every matrix shape — including the awkward ones: ``n``
-not a multiple of 64 (tail bits in the last word), a single row, an empty
-tail, all-zeros and all-ones rows.  These tests sweep those shapes with
-seeded random matrices and hypothesis-generated sequences.
+*bit-identical* statistics (and therefore P-values) to brute-force numpy
+counts and the scalar ``repro.nist`` oracles for every matrix shape —
+including the awkward ones: ``n`` not a multiple of 64 (tail bits in the
+last word), a single row, an empty tail, all-zeros and all-ones rows.  These
+tests sweep those shapes with seeded random matrices and
+hypothesis-generated sequences.
 """
 
 import numpy as np
@@ -16,6 +17,11 @@ from hypothesis import strategies as st
 from repro.engine import packed as P
 from repro.engine.batch import run_batch
 from repro.engine.context import BatchContext
+from repro.engine.registry import NIST_NUMBER_TO_ID
+import repro.nist as nist
+from repro.nist.cusum import random_walk_extremes
+from repro.nist.longest_run import longest_run_of_ones
+from repro.nist.runs import count_runs
 from repro.trng.ideal import IdealSource
 
 #: Shapes chosen to stress the word-boundary logic: multiples of 64,
@@ -96,7 +102,7 @@ class TestPopcount:
 
 
 class TestKernelParity:
-    """Each packed kernel against the uint8 reference, shape by shape."""
+    """Each packed kernel against a brute-force numpy count, shape by shape."""
 
     @pytest.mark.parametrize("rows,n", AWKWARD_SHAPES)
     def test_ones_count(self, rows, n):
@@ -175,40 +181,52 @@ class TestKernelParity:
             P.last_bits(P.pack_matrix(np.zeros((2, 0), dtype=np.uint8)))
 
 
+def block_reference(matrix, block_length):
+    """Per-row, per-block ``(ones, longest run of ones)`` by scalar scans."""
+    num_blocks = matrix.shape[1] // block_length
+    blocks = [
+        [row[b * block_length : (b + 1) * block_length] for b in range(num_blocks)]
+        for row in matrix
+    ]
+    ones = np.array([[int(block.sum()) for block in row] for row in blocks], dtype=np.int64)
+    longest = np.array(
+        [[longest_run_of_ones(block) for block in row] for row in blocks], dtype=np.int64
+    )
+    return ones.reshape(len(matrix), num_blocks), longest.reshape(len(matrix), num_blocks)
+
+
 class TestBatchContextParity:
-    """The two backends are bit-identical through the context layer."""
+    """Context statistics against the scalar oracles, row by row."""
 
     @pytest.mark.parametrize("rows,n", [(3, 100), (1, 4096), (5, 20000), (2, 127)])
     def test_shared_statistics_match(self, rows, n):
         matrix = random_matrix(rows, n, seed=n)
-        packed_ctx = BatchContext(matrix, backend="packed")
-        uint8_ctx = BatchContext(matrix, backend="uint8")
-        assert np.array_equal(packed_ctx.ones(), uint8_ctx.ones())
-        assert np.array_equal(packed_ctx.num_runs(), uint8_ctx.num_runs())
-        for fast, slow in zip(packed_ctx.walk_extremes(), uint8_ctx.walk_extremes()):
-            assert np.array_equal(fast, slow)
+        ctx = BatchContext(matrix)
+        assert ctx.ones().tolist() == [int(row.sum()) for row in matrix]
+        assert ctx.num_runs().tolist() == [count_runs(row) for row in matrix]
+        assert list(zip(*(part.tolist() for part in ctx.walk_extremes()))) == [
+            random_walk_extremes(row) for row in matrix
+        ]
         for block_length in (8, 16, 32, 64):
             if block_length <= n:
-                assert np.array_equal(
-                    packed_ctx.block_sums(block_length),
-                    uint8_ctx.block_sums(block_length),
-                )
-                assert np.array_equal(
-                    packed_ctx.block_longest_one_runs(block_length),
-                    uint8_ctx.block_longest_one_runs(block_length),
-                )
+                ones, longest = block_reference(matrix, block_length)
+                assert np.array_equal(ctx.block_sums(block_length), ones)
+                assert np.array_equal(ctx.block_longest_one_runs(block_length), longest)
 
     def test_unsupported_block_length_falls_back(self):
         matrix = random_matrix(2, 100, seed=5)
-        ctx = BatchContext(matrix, backend="packed")
-        reference = BatchContext(matrix, backend="uint8")
+        ctx = BatchContext(matrix)
         # 20 has no packed kernel; the context must silently use uint8.
-        assert np.array_equal(ctx.block_sums(20), reference.block_sums(20))
+        assert not P.supports_block_ones(20, 100)
+        assert not P.supports_block_longest_one_runs(20, 100)
+        ones, longest = block_reference(matrix, 20)
+        assert np.array_equal(ctx.block_sums(20), ones)
+        assert np.array_equal(ctx.block_longest_one_runs(20), longest)
 
     def test_prepacked_input_defers_unpack(self):
         matrix = random_matrix(4, 4096, seed=9)
         packed = P.pack_matrix(matrix)  # no retained source
-        ctx = BatchContext(packed, backend="packed")
+        ctx = BatchContext(packed)
         assert ctx._matrix is None
         ctx.ones()
         ctx.walk_extremes()
@@ -216,15 +234,22 @@ class TestBatchContextParity:
         assert ctx._matrix is None  # packed kernels never touched the bytes
         assert np.array_equal(ctx.matrix, matrix)  # ...but unpack on demand
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            BatchContext(np.zeros((1, 8), dtype=np.uint8), backend="simd")
-
 
 class TestEngineParity:
-    """run_batch: identical P-values, whatever the backend or container."""
+    """run_batch: P-values identical to the scalar suite, whatever the container."""
 
     TESTS = [1, 2, 3, 4, 11, 12, 13]
+
+    #: The scalar reference of each test: re-scans the raw bits.
+    ORACLES = {
+        1: nist.frequency_test,
+        2: nist.block_frequency_test,
+        3: nist.runs_test,
+        4: nist.longest_run_test,
+        11: nist.serial_test,
+        12: nist.approximate_entropy_test,
+        13: nist.cumulative_sums_test,
+    }
 
     def p_values(self, reports):
         return [
@@ -233,13 +258,16 @@ class TestEngineParity:
         ]
 
     @pytest.mark.parametrize("n", [128, 4096])
-    def test_backends_bit_identical(self, n):
+    def test_bit_identical_to_scalar_oracles(self, n):
         matrix = IdealSource(seed=42).generate_matrix(8, n)
-        packed_reports = run_batch(matrix, tests=self.TESTS, backend="packed")
-        uint8_reports = run_batch(matrix, tests=self.TESTS, backend="uint8")
-        assert self.p_values(packed_reports) == self.p_values(uint8_reports)
-        assert all(report.backend == "packed" for report in packed_reports)
-        assert all(report.backend == "uint8" for report in uint8_reports)
+        expected = [
+            {
+                NIST_NUMBER_TO_ID[number]: self.ORACLES[number](row).p_values
+                for number in self.TESTS
+            }
+            for row in matrix
+        ]
+        assert self.p_values(run_batch(matrix, tests=self.TESTS)) == expected
 
     def test_prepacked_input_matches_uint8_matrix(self):
         source = IdealSource(seed=77)
@@ -251,10 +279,6 @@ class TestEngineParity:
         from_packed = run_batch(prepacked, tests=self.TESTS)
         from_matrix = run_batch(matrix, tests=self.TESTS)
         assert self.p_values(from_packed) == self.p_values(from_matrix)
-
-    def test_run_batch_rejects_unknown_backend(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            run_batch(np.zeros((2, 128), dtype=np.uint8), backend="simd")
 
     def test_empty_prepacked_batch(self):
         packed = P.pack_matrix(np.zeros((0, 128), dtype=np.uint8))

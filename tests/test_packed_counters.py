@@ -106,11 +106,12 @@ class TestCyclicPatternCounts:
 
 class TestContextPatternCounts:
     @pytest.mark.parametrize("n", LENGTHS)
-    @pytest.mark.parametrize("backend", ["packed", "uint8"])
-    def test_folded_counts_match_oracle(self, n, backend):
-        """Counts folded down from the longest cached pattern stay exact."""
+    @pytest.mark.parametrize("container", ["packed", "uint8"])
+    def test_folded_counts_match_oracle(self, n, container):
+        """Counts folded down from the longest cached pattern stay exact,
+        whether the batch arrives prepacked or as a uint8 matrix."""
         matrix = batch_rows(n, seed=n + 1)
-        batch = BatchContext(matrix, backend=backend)
+        batch = BatchContext(P.pack_matrix(matrix) if container == "packed" else matrix)
         top = largest_m(n)
         for m in range(top, -1, -1):
             for row, got in zip(matrix, batch.pattern_counts(m)):
