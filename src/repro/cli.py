@@ -43,7 +43,7 @@ Installed as ``repro-trng-test`` (see ``pyproject.toml``); also runnable as
 
 The engine-driven sub-commands (``batch``, ``monitor``, ``fleet``) also
 take ``--trace <path>``: the recorded :mod:`repro.obs` span trees (pack /
-dispatch / decision, fleet round stages, ...) are written to the path as
+dispatch / fold, fleet round stages, ...) are written to the path as
 JSON when the command finishes.
 """
 

@@ -9,18 +9,26 @@ computed with single vectorised passes over the whole batch.  Each test then
 takes one of two routes, recorded as the ``path`` attribute of its
 ``dispatch`` span and the ``repro_engine_tests_total{path}`` counter:
 
-* ``batched`` — a batch-native kernel evaluates the whole batch at once:
-  the five heavyweight tests (rank, DFT, universal, linear complexity,
-  random excursions) through :mod:`repro.engine.heavy`;
-* ``inline`` — the test's scalar decision runs per sequence on the shared
-  statistics: the cheap tests (frequency, block frequency, runs, longest
-  run, templates, serial, approximate entropy, cusum), the FIPS and
-  hardware-model tests, and any heavy-test geometry whose kernel raises
+* ``batched`` — the test's batch runner evaluates the whole batch at once:
+  * the seven shared-statistic tests (frequency, block frequency, runs,
+    longest run, serial, approximate entropy, cusum) decide *by key*: rows
+    are grouped by the complete integer input of the test's scalar decision
+    helper (the hardware counters of the paper), the helper runs once per
+    distinct key and equal rows share its result
+    (:func:`~repro.nist.common.decide_per_key`); the ``dispatch`` span's
+    ``keys`` attribute counts the distinct decisions;
+  * the five heavyweight tests (rank, DFT, universal, linear complexity,
+    random excursions) run batch-native kernels in
+    :mod:`repro.engine.heavy`;
+* ``inline`` — the test's scalar runner runs per sequence on the shared
+  statistics: the template tests, the FIPS tests, ``hw.platform``, and any
+  heavy-test geometry whose kernel raises
   :class:`~repro.engine.heavy.BatchFallback`.
 
-Results are bit-identical to running each test directly on each sequence —
-asserted by ``tests/test_engine_parity.py`` and
-``tests/test_heavy_batch_parity.py``.
+One ``fold`` span then files every test's outcomes into the per-sequence
+reports.  Results are bit-identical to running each test directly on each
+sequence — asserted by ``tests/test_engine_parity.py``,
+``tests/test_heavy_batch_parity.py`` and ``tests/test_keyed_decisions.py``.
 """
 
 from __future__ import annotations
@@ -181,38 +189,38 @@ def _run_batch(
         reports = [EngineReport(n=batch.n) for _ in contexts]
     _BITS_EVALUATED.inc(batch.n * len(reports))
 
+    # Per test, in test order: one outcome per row (a result, or the
+    # exception that row raised), or one exception for the whole batch.
+    outcomes: List[Tuple[str, Union[Exception, Sequence[object]]]] = []
+    evaluated: Dict[str, int] = {}
+
     def run_inline(test: RegisteredTest, kwargs: Dict[str, object]) -> None:
-        # The dispatch span covers the per-sequence test evaluations; the
-        # decision span the fold of outcomes into reports.  Collecting
-        # outcomes first keeps skip_errors=False raising from inside the
-        # dispatch span, exactly where the failure happened.
-        outcomes: List[Tuple[bool, object]] = []
+        # Collecting outcomes before the fold keeps skip_errors=False
+        # raising from inside the dispatch span, where the failure happened.
+        rows: List[object] = []
         with obs.span("dispatch", test=test.id, path="inline") as dispatch_span:
             for context in contexts:
                 try:
-                    outcomes.append((True, test.run(context, **kwargs)))
+                    rows.append(test.run(context, **kwargs))
                 except Exception as exc:  # noqa: BLE001 - see skip_errors docs
                     if not skip_errors:
                         raise
-                    outcomes.append((False, exc))
+                    rows.append(exc)
         _TEST_SECONDS.observe(dispatch_span.duration_s, test=test.id)
-        _TESTS_TOTAL.inc(len(reports), path="inline")
-        with obs.span("decision", test=test.id):
-            for report, (ok, value) in zip(reports, outcomes):
-                if ok:
-                    report.results[test.id] = value  # type: ignore[assignment]
-                else:
-                    report.errors[test.id] = _describe_error(value)  # type: ignore[arg-type]
+        evaluated["inline"] = evaluated.get("inline", 0) + len(reports)
+        outcomes.append((test.id, rows))
 
     for test in resolved:
         kwargs = params.get(test.id, {})
         if test.batch_runner is None:
             run_inline(test, kwargs)
             continue
-        # Batch-native kernel over the whole packed batch.
         try:
             with obs.span("dispatch", test=test.id, path="batched") as dispatch_span:
-                outcomes = test.run_batch(batch, **kwargs)
+                results = test.run_batch(batch, **kwargs)
+                if obs.is_enabled():
+                    # Rows with equal keys share one result object.
+                    dispatch_span.attributes["keys"] = len({id(r) for r in results})
         except BatchFallback:
             # Parameters outside the kernel's fast path: rerun this one
             # test per sequence.
@@ -221,17 +229,27 @@ def _run_batch(
         except Exception as exc:  # noqa: BLE001 - see skip_errors docs
             if not skip_errors:
                 raise
-            # Batch kernels validate parameters once for the whole batch
+            # Batch runners validate parameters once for the whole batch
             # (all rows share n), so the error is uniform.
-            message = _describe_error(exc)
-            _TESTS_TOTAL.inc(len(reports), path="batched")
-            for report in reports:
-                report.errors[test.id] = message
-            continue
-        _TEST_SECONDS.observe(dispatch_span.duration_s, test=test.id)
-        _TESTS_TOTAL.inc(len(reports), path="batched")
-        with obs.span("decision", test=test.id):
-            for report, outcome in zip(reports, outcomes):
-                report.results[test.id] = outcome
+            outcomes.append((test.id, exc))
+        else:
+            _TEST_SECONDS.observe(dispatch_span.duration_s, test=test.id)
+            outcomes.append((test.id, results))
+        evaluated["batched"] = evaluated.get("batched", 0) + len(reports)
+
+    for path, count in evaluated.items():
+        _TESTS_TOTAL.inc(count, path=path)
+    with obs.span("fold", tests=len(outcomes)):
+        for test_id, outcome in outcomes:
+            if isinstance(outcome, Exception):
+                message = _describe_error(outcome)
+                for report in reports:
+                    report.errors[test_id] = message
+                continue
+            for report, value in zip(reports, outcome):
+                if isinstance(value, Exception):
+                    report.errors[test_id] = _describe_error(value)
+                else:
+                    report.results[test_id] = value  # type: ignore[assignment]
 
     return reports

@@ -512,7 +512,7 @@ class BatchContext:
             values = trimmed.reshape(
                 self.num_sequences, num_blocks, block_length
             ) @ _window_weights(block_length)
-            self._block_value_counts[block_length] = self._bincount_rows(
+            self._block_value_counts[block_length] = self.bincount_rows(
                 values, 1 << block_length
             )
         return self._block_value_counts[block_length]
@@ -564,7 +564,7 @@ class BatchContext:
         values = np.zeros((self.num_sequences, m - 1), dtype=np.int64)
         for offset in range(m):
             values = 2 * values + seam[:, offset : offset + m - 1]
-        return self._bincount_rows(values, 1 << m)
+        return self.bincount_rows(values, 1 << m)
 
     def template_block_counts(
         self, template: Sequence[int], block_length: int, num_blocks: int
@@ -583,7 +583,7 @@ class BatchContext:
             )
         return self._template_counts[key]
 
-    def _bincount_rows(self, values: np.ndarray, num_bins: int) -> np.ndarray:
+    def bincount_rows(self, values: np.ndarray, num_bins: int) -> np.ndarray:
         """Per-row bincount via one flat bincount with row offsets."""
         rows = values.shape[0]
         dtype = np.int32 if rows * num_bins < (1 << 31) else np.int64

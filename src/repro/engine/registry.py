@@ -29,21 +29,27 @@ from typing import (
 from repro.engine import heavy as _heavy
 from repro.engine.context import BatchContext, SequenceContext
 from repro.fips import battery as _fips
-from repro.nist.approximate_entropy import approximate_entropy_test_from_context
-from repro.nist.block_frequency import block_frequency_test_from_context
+from repro.nist.approximate_entropy import (
+    approximate_entropy_test_batch,
+    approximate_entropy_test_from_context,
+)
+from repro.nist.block_frequency import (
+    block_frequency_test_batch,
+    block_frequency_test_from_context,
+)
 from repro.nist.common import TestResult
-from repro.nist.cusum import cumulative_sums_test_from_context
+from repro.nist.cusum import cumulative_sums_test_batch, cumulative_sums_test_from_context
 from repro.nist.dft import dft_test
-from repro.nist.frequency import frequency_test_from_context
+from repro.nist.frequency import frequency_test_batch, frequency_test_from_context
 from repro.nist.linear_complexity import linear_complexity_test
-from repro.nist.longest_run import longest_run_test_from_context
+from repro.nist.longest_run import longest_run_test_batch, longest_run_test_from_context
 from repro.nist.nonoverlapping import non_overlapping_template_test_from_context
 from repro.nist.overlapping import overlapping_template_test_from_context
 from repro.nist.random_excursions import random_excursions_test
 from repro.nist.random_excursions_variant import random_excursions_variant_test
 from repro.nist.rank import binary_matrix_rank_test
-from repro.nist.runs import runs_test_from_context
-from repro.nist.serial import serial_test_from_context
+from repro.nist.runs import runs_test_batch, runs_test_from_context
+from repro.nist.serial import serial_test_batch, serial_test_from_context
 from repro.nist.suite import NIST_TEST_NAMES
 from repro.nist.universal import universal_test
 
@@ -93,7 +99,8 @@ class RegisteredTest:
         Optional batch-native entry point
         ``batch_runner(batch, **params) -> List[TestResult]`` evaluating the
         whole :class:`~repro.engine.context.BatchContext` at once (one
-        result per sequence, bit-identical to ``runner``).  May raise
+        result per sequence, bit-identical to ``runner``; rows with equal
+        statistics may share one result object).  May raise
         :class:`~repro.engine.heavy.BatchFallback` for parameters outside
         its fast path.
     """
@@ -269,14 +276,22 @@ def build_default_registry() -> TestRegistry:
         14: _reference_runner(random_excursions_test),
         15: _reference_runner(random_excursions_variant_test),
     }
-    # The five heavyweight tests: batch-native kernels evaluate a whole
-    # packed batch at once; the scalar runner stays the per-sequence
-    # reference and the route for BatchFallback geometries.
+    # The seven shared-statistic tests decide once per distinct integer
+    # statistic; the five heavyweight tests run batch-native kernels.  The
+    # scalar runner stays the per-sequence reference and the route for
+    # BatchFallback geometries; the template tests stay inline.
     batch_runners: Dict[int, Callable[..., List[TestResult]]] = {
+        1: frequency_test_batch,
+        2: block_frequency_test_batch,
+        3: runs_test_batch,
+        4: longest_run_test_batch,
         5: _heavy.batch_rank,
         6: _heavy.batch_dft,
         9: _heavy.batch_universal,
         10: _heavy.batch_linear_complexity,
+        11: serial_test_batch,
+        12: approximate_entropy_test_batch,
+        13: cumulative_sums_test_batch,
         14: _heavy.batch_random_excursions,
         15: _heavy.batch_random_excursions_variant,
     }

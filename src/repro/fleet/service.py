@@ -36,7 +36,10 @@ instead of ``http.server``'s raw stderr lines (the CLI's ``fleet serve``
 wires a handler; ``--quiet`` drops it to warnings only).
 
 The server is a :class:`~http.server.ThreadingHTTPServer` (daemon threads,
-one per connection), and lock holds are bounded: requests take the
+one per connection).  Every socket read and write times out after
+:data:`READ_TIMEOUT_S` — a stalled body is answered with 408 — and a
+connection that dies outside a response is logged as one WARNING line and
+counted, never printed as a traceback.  Lock holds are bounded: requests take the
 scheduler's re-entrant lock — the same lock
 :meth:`~repro.fleet.scheduler.FleetScheduler.run_round` holds — only around
 the registry/health mutations and snapshots, never around engine evaluation
@@ -51,6 +54,7 @@ from __future__ import annotations
 import json
 import logging
 import re
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional, Sequence, Tuple
@@ -92,6 +96,11 @@ _QUARANTINED = obs.counter(
     "repro_service_quarantined_total",
     "Devices quarantined by the service after repeated malformed ingests.",
 )
+_CONNECTION_ERRORS = obs.counter(
+    "repro_service_connection_errors_total",
+    "Connections dropped on an error outside any request's response, by type.",
+    labels=("error",),
+)
 
 #: Known route templates, so the request counter's cardinality stays fixed
 #: no matter what paths clients probe.
@@ -112,6 +121,12 @@ def _route_label(path: str) -> str:
         if pattern.match(clean):
             return label
     return "<unknown>"
+
+#: Seconds one socket read or write may stall before the server gives up on
+#: the connection: a request line or headers stalled that long close it, a
+#: stalled body gets 408.  Bounds how long a slow or dead client holds a
+#: server thread.
+READ_TIMEOUT_S = 10.0
 
 #: Cap on accepted request bodies (a 2^20-bit design ingest is ~1 MiB of
 #: ASCII bits; anything far beyond that is a client error, not traffic).
@@ -421,6 +436,7 @@ class _FleetRequestHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-fleet/1.0"
     protocol_version = "HTTP/1.1"
+    timeout = READ_TIMEOUT_S
 
     @property
     def service(self) -> FleetService:
@@ -451,7 +467,10 @@ class _FleetRequestHandler(BaseHTTPRequestHandler):
         cap = self.service.max_body_bytes
         if length > cap:
             raise ServiceError(413, f"request body exceeds {cap} bytes")
-        raw = self.rfile.read(length)
+        try:
+            raw = self.rfile.read(length)
+        except TimeoutError:
+            raise ServiceError(408, f"request body not received within {self.timeout:g} s")
         if len(raw) < length:
             # The client died (or lied about Content-Length) mid-body; a
             # partial JSON document must not be half-parsed into a request.
@@ -508,6 +527,10 @@ class _FleetRequestHandler(BaseHTTPRequestHandler):
                 self.close_connection = True
                 status, payload = exc.status, {"error": exc.message}
                 extra_headers = _retry_headers(exc)
+            except ConnectionError:
+                # The client is gone; there is nobody to answer (the server's
+                # handle_error logs and counts it).
+                raise
             except Exception:
                 logger.exception("unhandled error serving POST %s", self.path)
                 self.close_connection = True
@@ -530,6 +553,24 @@ class _FleetRequestHandler(BaseHTTPRequestHandler):
         # http.server's own chatter (error lines etc.) goes to the logger at
         # DEBUG; the per-request INFO line above is the structured one.
         logger.debug(format, *args)
+
+
+class _FleetHTTPServer(ThreadingHTTPServer):
+    """One daemon thread per connection; connection errors become one log
+    line and a counter instead of a traceback on stderr."""
+
+    daemon_threads = True
+
+    def handle_error(self, request: object, client_address: Tuple[str, int]) -> None:
+        exc = sys.exc_info()[1]
+        name = type(exc).__name__ if exc is not None else "unknown"
+        _CONNECTION_ERRORS.inc(error=name)
+        # A client hanging up is routine: one line, no traceback.  Anything
+        # else is a server bug and keeps its traceback.
+        logger.warning(
+            "connection from %s dropped: %s: %s", client_address[0], name, exc,
+            exc_info=not isinstance(exc, ConnectionError),
+        )
 
 
 def serve(
@@ -556,8 +597,7 @@ def serve(
     beyond it), and ``quarantine_after`` cuts off a device (403) after that
     many consecutive malformed ingests.
     """
-    server = ThreadingHTTPServer((host, port), _FleetRequestHandler)
-    server.daemon_threads = True
+    server = _FleetHTTPServer((host, port), _FleetRequestHandler)
     server.service = FleetService(  # type: ignore[attr-defined]
         scheduler,
         max_body_bytes=max_body_bytes,

@@ -10,12 +10,26 @@ counts.
 from __future__ import annotations
 
 import math
+from typing import List
 
 import numpy as np
 
-from repro.nist.common import BitsLike, TestResult, igamc, pattern_counts, phi_from_counts, to_bits
+from repro.nist.common import (
+    BitsLike,
+    TestResult,
+    decide_per_key,
+    igamc,
+    pattern_counts,
+    phi_from_counts,
+    to_bits,
+)
 
-__all__ = ["approximate_entropy_test", "approximate_entropy_test_from_context", "phi_statistic"]
+__all__ = [
+    "approximate_entropy_test",
+    "approximate_entropy_test_from_context",
+    "approximate_entropy_test_batch",
+    "phi_statistic",
+]
 
 
 def phi_statistic(bits: BitsLike, m: int) -> float:
@@ -101,4 +115,21 @@ def approximate_entropy_test_from_context(context, m: int = 3) -> TestResult:
         m,
         context.pattern_counts(m, cyclic=True),
         context.pattern_counts(m + 1, cyclic=True),
+    )
+
+
+def approximate_entropy_test_batch(batch, m: int = 3) -> List[TestResult]:
+    """Batch entry point: one decision per distinct cyclic ``(m+1)``-bit
+    count row of a :class:`~repro.engine.context.BatchContext`, shared by
+    equal rows (the ``m``-bit counts are an exact fold of that row)."""
+    n = batch.n
+    if m < 1:
+        raise ValueError("approximate entropy test requires m >= 1")
+    if n < m + 2:
+        raise ValueError(f"sequence too short (n={n}) for block length m={m}")
+    # The longer counts first, so the m-bit counts fold from them.
+    counts_m1 = batch.pattern_counts(m + 1, cyclic=True)
+    counts_m = batch.pattern_counts(m, cyclic=True)
+    return decide_per_key(
+        counts_m1, lambda row: _apen_result(n, m, counts_m[row], counts_m1[row])
     )

@@ -6,11 +6,17 @@ checks whether the proportion of ones within each block is close to 1/2.
 
 from __future__ import annotations
 
+from typing import List
+
 import numpy as np
 
-from repro.nist.common import BitsLike, TestResult, chunk, igamc, to_bits
+from repro.nist.common import BitsLike, TestResult, chunk, decide_per_key, igamc, to_bits
 
-__all__ = ["block_frequency_test", "block_frequency_test_from_context"]
+__all__ = [
+    "block_frequency_test",
+    "block_frequency_test_from_context",
+    "block_frequency_test_batch",
+]
 
 
 def _validate(n: int, block_length: int) -> None:
@@ -72,3 +78,12 @@ def block_frequency_test_from_context(context, block_length: int = 128) -> TestR
     context's memoized block sums instead of a fresh block scan."""
     _validate(context.n, block_length)
     return _block_frequency_result(context.n, block_length, context.block_sums(block_length))
+
+
+def block_frequency_test_batch(batch, block_length: int = 128) -> List[TestResult]:
+    """Batch entry point: one decision per distinct block-sums row of a
+    :class:`~repro.engine.context.BatchContext`, shared by equal rows."""
+    n = batch.n
+    _validate(n, block_length)
+    sums = batch.block_sums(block_length)
+    return decide_per_key(sums, lambda row: _block_frequency_result(n, block_length, sums[row]))

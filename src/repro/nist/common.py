@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, TypeVar, Union
 
 import numpy as np
 from scipy import special as _special
@@ -35,6 +35,7 @@ __all__ = [
     "berlekamp_massey",
     "binary_matrix_rank",
     "chunk",
+    "decide_per_key",
 ]
 
 #: Types accepted wherever a bit sequence is expected.
@@ -259,6 +260,10 @@ class TestResult:
     details:
         Test-specific intermediate values, useful for debugging and for the
         HW/SW equivalence checks.
+
+    Results returned by the engine are read-only: rows of a batch whose
+    integer statistics are equal share one result object
+    (:func:`decide_per_key`), so mutating one would change its twins.
     """
 
     #: Not a pytest test class, despite the name (prevents collection warnings).
@@ -480,3 +485,35 @@ def chunk(bits: BitsLike, block_length: int, *, discard_partial: bool = True) ->
     if not discard_partial and arr.size % block_length:
         blocks.append(arr[full * block_length :])
     return blocks
+
+
+# ---------------------------------------------------------------------------
+# Batch decisions
+# ---------------------------------------------------------------------------
+
+_Decided = TypeVar("_Decided")
+
+
+def decide_per_key(keys: np.ndarray, decide: Callable[[int], _Decided]) -> List[_Decided]:
+    """Run ``decide(row)`` once per distinct row of ``keys``; scatter back.
+
+    ``keys`` is a ``(rows, k)`` integer matrix holding the complete integer
+    input of a test's decision helper, one row per sequence, and
+    ``decide(row)`` evaluates that helper for the first row of each group.
+    The helper is a pure function of its key, so every row of a group gets
+    that row's result object — bit-identical by construction.  Rows are
+    grouped by their raw bytes in a dict, which costs less than sorting
+    them with ``np.unique(axis=0)``.  A one-row batch skips the grouping.
+    """
+    rows = keys.shape[0]
+    if rows <= 1:
+        return [decide(row) for row in range(rows)]
+    keys = np.ascontiguousarray(keys, dtype=np.int64)
+    row_bytes = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel().tolist()
+    decided: Dict[bytes, _Decided] = {}
+    results = []
+    for row, key in enumerate(row_bytes):
+        if key not in decided:
+            decided[key] = decide(row)
+        results.append(decided[key])
+    return results

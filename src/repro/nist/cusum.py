@@ -8,16 +8,19 @@ sequence.  The test is run in two modes: forward (mode 0) and backward
 
 from __future__ import annotations
 
+import functools
 import math
+from typing import List
 
 import numpy as np
 from scipy import special as _special
 
-from repro.nist.common import BitsLike, TestResult, to_bits
+from repro.nist.common import BitsLike, TestResult, decide_per_key, to_bits
 
 __all__ = [
     "cumulative_sums_test",
     "cumulative_sums_test_from_context",
+    "cumulative_sums_test_batch",
     "cusum_p_value",
     "random_walk_extremes",
 ]
@@ -36,6 +39,7 @@ def random_walk_extremes(bits: BitsLike) -> tuple[int, int, int]:
     return int(walk.max()), int(walk.min()), int(walk[-1])
 
 
+@functools.lru_cache(maxsize=4096)
 def cusum_p_value(z: int, n: int) -> float:
     """P-value of the cusum test given the maximal excursion ``z``.
 
@@ -45,6 +49,9 @@ def cusum_p_value(z: int, n: int) -> float:
     towards zero) so that the published worked examples are reproduced to
     the last printed digit; for realistic sequence lengths the choice of
     truncation is numerically irrelevant.
+
+    Memoised: the P-value is a pure function of two integers, and a fleet
+    of healthy walks revisits the same few excursions over and over.
     """
     if n <= 0:
         raise ValueError("sequence length n must be positive")
@@ -115,6 +122,23 @@ def cumulative_sums_test_from_context(context, mode: int = 0) -> TestResult:
     if mode not in (0, 1):
         raise ValueError("mode must be 0 (forward) or 1 (backward)")
     return _cusum_result(context.n, mode, *context.walk_extremes())
+
+
+def cumulative_sums_test_batch(batch, mode: int = 0) -> List[TestResult]:
+    """Batch entry point: one decision per distinct ``(S_max, S_min,
+    S_final)`` triple of a :class:`~repro.engine.context.BatchContext`,
+    shared by equal rows.  The key is the whole triple, not the excursion
+    ``z``, because the result's details carry all three values."""
+    n = batch.n
+    if n == 0:
+        raise ValueError("cumulative sums test requires a non-empty sequence")
+    if mode not in (0, 1):
+        raise ValueError("mode must be 0 (forward) or 1 (backward)")
+    s_max, s_min, s_final = batch.walk_extremes()
+    return decide_per_key(
+        np.column_stack((s_max, s_min, s_final)),
+        lambda row: _cusum_result(n, mode, int(s_max[row]), int(s_min[row]), int(s_final[row])),
+    )
 
 
 def _cusum_result(n: int, mode: int, s_max: int, s_min: int, s_final: int) -> TestResult:

@@ -8,10 +8,11 @@ recommends running it first since all subsequent tests presume it passes.
 from __future__ import annotations
 
 import math
+from typing import List
 
-from repro.nist.common import BitsLike, TestResult, erfc, to_bits
+from repro.nist.common import BitsLike, TestResult, decide_per_key, erfc, to_bits
 
-__all__ = ["frequency_test", "frequency_test_from_context"]
+__all__ = ["frequency_test", "frequency_test_from_context", "frequency_test_batch"]
 
 
 def _frequency_result(n: int, ones: int) -> TestResult:
@@ -63,3 +64,13 @@ def frequency_test_from_context(context) -> TestResult:
     if context.n == 0:
         raise ValueError("frequency test requires a non-empty sequence")
     return _frequency_result(context.n, context.ones)
+
+
+def frequency_test_batch(batch) -> List[TestResult]:
+    """Batch entry point: one decision per distinct ones count of a
+    :class:`~repro.engine.context.BatchContext`, shared by equal rows."""
+    n = batch.n
+    if n == 0:
+        raise ValueError("frequency test requires a non-empty sequence")
+    ones = batch.ones()
+    return decide_per_key(ones[:, None], lambda row: _frequency_result(n, int(ones[row])))

@@ -11,11 +11,12 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.nist.common import BitsLike, TestResult, chunk, igamc, to_bits
+from repro.nist.common import BitsLike, TestResult, chunk, decide_per_key, igamc, to_bits
 
 __all__ = [
     "longest_run_test",
     "longest_run_test_from_context",
+    "longest_run_test_batch",
     "longest_run_of_ones",
     "LONGEST_RUN_TABLES",
     "category_index",
@@ -153,3 +154,19 @@ def longest_run_test_from_context(context, block_length: int | None = None) -> T
     indices = np.clip(per_block - v_values[0], 0, k)
     categories = np.bincount(indices, minlength=k + 1).astype(np.int64)
     return _longest_run_result(n, block_length, categories)
+
+
+def longest_run_test_batch(batch, block_length: int | None = None) -> List[TestResult]:
+    """Batch entry point: the category histograms of every row of a
+    :class:`~repro.engine.context.BatchContext` come from one flat bincount,
+    and each distinct histogram is decided once, shared by equal rows."""
+    n = batch.n
+    if block_length is None:
+        block_length = recommended_block_length(n)
+    _validate_block_length(n, block_length)
+    k, v_values, _pi = LONGEST_RUN_TABLES[block_length]
+    indices = np.clip(batch.block_longest_one_runs(block_length) - v_values[0], 0, k)
+    categories = batch.bincount_rows(indices, k + 1)
+    return decide_per_key(
+        categories, lambda row: _longest_run_result(n, block_length, categories[row])
+    )

@@ -8,12 +8,13 @@ given the observed proportion of ones.
 from __future__ import annotations
 
 import math
+from typing import List
 
 import numpy as np
 
-from repro.nist.common import BitsLike, TestResult, erfc, to_bits
+from repro.nist.common import BitsLike, TestResult, decide_per_key, erfc, to_bits
 
-__all__ = ["runs_test", "runs_test_from_context", "count_runs"]
+__all__ = ["runs_test", "runs_test_from_context", "runs_test_batch", "count_runs"]
 
 
 def _runs_result(n: int, ones: int, v_obs: int) -> TestResult:
@@ -79,3 +80,16 @@ def runs_test_from_context(context) -> TestResult:
     if context.n == 0:
         raise ValueError("runs test requires a non-empty sequence")
     return _runs_result(context.n, context.ones, context.num_runs())
+
+
+def runs_test_batch(batch) -> List[TestResult]:
+    """Batch entry point: one decision per distinct ``(ones, runs)`` pair of
+    a :class:`~repro.engine.context.BatchContext`, shared by equal rows."""
+    n = batch.n
+    if n == 0:
+        raise ValueError("runs test requires a non-empty sequence")
+    ones, num_runs = batch.ones(), batch.num_runs()
+    return decide_per_key(
+        np.column_stack((ones, num_runs)),
+        lambda row: _runs_result(n, int(ones[row]), int(num_runs[row])),
+    )

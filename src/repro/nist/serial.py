@@ -9,18 +9,21 @@ with critical values.
 
 from __future__ import annotations
 
+from typing import List
+
 import numpy as np
 
 from repro.nist.common import (
     BitsLike,
     TestResult,
+    decide_per_key,
     igamc,
     pattern_counts,
     psi_squared_from_counts,
     to_bits,
 )
 
-__all__ = ["serial_test", "serial_test_from_context"]
+__all__ = ["serial_test", "serial_test_from_context", "serial_test_batch"]
 
 
 def _serial_result(
@@ -105,4 +108,23 @@ def serial_test_from_context(context, m: int = 4) -> TestResult:
         context.pattern_counts(m, cyclic=True),
         context.pattern_counts(m - 1, cyclic=True),
         context.pattern_counts(m - 2, cyclic=True),
+    )
+
+
+def serial_test_batch(batch, m: int = 4) -> List[TestResult]:
+    """Batch entry point: one decision per distinct cyclic ``m``-bit count
+    row of a :class:`~repro.engine.context.BatchContext`, shared by equal
+    rows.  The ``(m-1)``- and ``(m-2)``-bit counts are exact folds of the
+    ``m``-bit row, so that row alone is the key."""
+    n = batch.n
+    if m < 2:
+        raise ValueError("serial test requires m >= 2")
+    if n < (1 << m):
+        raise ValueError(f"sequence too short (n={n}) for pattern length m={m}")
+    counts_m = batch.pattern_counts(m, cyclic=True)
+    counts_m1 = batch.pattern_counts(m - 1, cyclic=True)
+    counts_m2 = batch.pattern_counts(m - 2, cyclic=True)
+    return decide_per_key(
+        counts_m,
+        lambda row: _serial_result(n, m, counts_m[row], counts_m1[row], counts_m2[row]),
     )

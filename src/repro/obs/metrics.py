@@ -143,15 +143,18 @@ class _Metric:
         self.label_names: Tuple[str, ...] = tuple(labels)
         for label in self.label_names:
             _validate_name(label)
+        self._label_set = frozenset(self.label_names)
         self._lock = threading.Lock()
 
     def _key(self, labels: Mapping[str, object]) -> Tuple[str, ...]:
-        if set(labels) != set(self.label_names):
+        # Every update pays for this lookup, so it avoids building sets and
+        # generators: a keys view compares with a frozenset directly.
+        if labels.keys() != self._label_set:
             raise ValueError(
                 f"metric {self.name!r} takes labels {self.label_names}, "
                 f"got {tuple(sorted(labels))}"
             )
-        return tuple(str(labels[name]) for name in self.label_names)
+        return tuple([str(labels[name]) for name in self.label_names])
 
     def signature(self) -> Tuple[str, Tuple[str, ...]]:
         """Identity for get-or-create conflict checks."""

@@ -1,7 +1,7 @@
 """Tracing spans: nested timed stages, a bounded ring of recent traces.
 
 A :class:`Span` is one timed stage of a run — ``pack`` / ``dispatch`` /
-``decision`` inside :func:`repro.engine.batch.run_batch`, ``generate`` /
+``fold`` inside :func:`repro.engine.batch.run_batch`, ``generate`` /
 ``evaluate`` / ``fold`` inside a fleet round — opened with the
 :func:`span` context manager and nested through a thread-local stack, so
 concurrent service threads and worker rounds never interleave their trees.
@@ -32,7 +32,7 @@ import time
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
-from repro.obs.metrics import is_enabled
+from repro.obs import metrics as _metrics
 
 __all__ = ["Span", "Tracer", "TRACER", "span", "trace", "export_traces", "clear_traces"]
 
@@ -42,17 +42,51 @@ DEFAULT_TRACE_CAPACITY = 128
 
 
 class Span:
-    """One timed stage; children nest through the thread-local stack."""
+    """One timed stage; children nest through the thread-local stack.
 
-    __slots__ = ("name", "attributes", "children", "start_s", "duration_s", "error")
+    A span is its own context manager: entering attaches it to the tracer's
+    stack (when recording is enabled) and starts its clock, exiting stops
+    the clock and, for a root, files it into the trace ring.
+    """
 
-    def __init__(self, name: str, attributes: Dict[str, object]):
+    __slots__ = (
+        "name", "attributes", "children", "start_s", "duration_s", "error",
+        "_tracer", "_stack",
+    )
+
+    def __init__(self, name: str, attributes: Dict[str, object],
+                 tracer: Optional["Tracer"] = None):
         self.name = name
         self.attributes = attributes
         self.children: List["Span"] = []
         self.start_s = 0.0
         self.duration_s = 0.0
         self.error: Optional[str] = None
+        self._tracer = tracer
+        # The thread's span stack while this span is attached to it.
+        self._stack: Optional[List["Span"]] = None
+
+    def __enter__(self) -> "Span":
+        if _metrics._enabled and self._tracer is not None:
+            stack = self._stack = self._tracer._stack()
+            if stack:
+                stack[-1].children.append(self)
+            stack.append(self)
+        self.start_s = time.perf_counter()
+        return self
+
+    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
+        self.duration_s = time.perf_counter() - self.start_s
+        if exc_type is not None:
+            self.error = getattr(exc_type, "__name__", str(exc_type))
+        stack = self._stack
+        if stack is not None:
+            # This span is still on top (with statements unwind in LIFO
+            # order even under exceptions).
+            stack.pop()
+            self._stack = None
+            if not stack:
+                self._tracer._record(self)  # type: ignore[union-attr]
 
     def to_dict(self, origin_s: Optional[float] = None) -> Dict[str, object]:
         """JSON-ready span tree; start times are relative to the root."""
@@ -80,41 +114,6 @@ class Span:
         )
 
 
-class _SpanHandle:
-    """Context manager driving one span's lifecycle on the tracer stack."""
-
-    __slots__ = ("_tracer", "_span", "_attached")
-
-    def __init__(self, tracer: "Tracer", name: str, attributes: Dict[str, object]):
-        self._tracer = tracer
-        self._span = Span(name, attributes)
-        self._attached = False
-
-    def __enter__(self) -> Span:
-        current = self._span
-        if is_enabled():
-            stack = self._tracer._stack()
-            if stack:
-                stack[-1].children.append(current)
-            stack.append(current)
-            self._attached = True
-        current.start_s = time.perf_counter()
-        return current
-
-    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
-        current = self._span
-        current.duration_s = time.perf_counter() - current.start_s
-        if exc_type is not None:
-            current.error = getattr(exc_type, "__name__", str(exc_type))
-        if self._attached:
-            stack = self._tracer._stack()
-            # The span we pushed is still on top (with statements unwind in
-            # LIFO order even under exceptions).
-            stack.pop()
-            if not stack:
-                self._tracer._record(current)
-
-
 class Tracer:
     """Thread-local span stacks over a shared bounded ring of recent traces."""
 
@@ -137,9 +136,9 @@ class Tracer:
             self._traces.append(root)
 
     # --------------------------------------------------------------- API
-    def span(self, name: str, **attributes: object) -> _SpanHandle:
+    def span(self, name: str, **attributes: object) -> Span:
         """Open a (possibly nested) timed span as a context manager."""
-        return _SpanHandle(self, name, dict(attributes))
+        return Span(name, attributes, self)
 
     def current(self) -> Optional[Span]:
         """The innermost open span on this thread, if any."""
@@ -165,9 +164,9 @@ class Tracer:
 TRACER = Tracer()
 
 
-def span(name: str, **attributes: object) -> _SpanHandle:
+def span(name: str, **attributes: object) -> Span:
     """Open a span on the default tracer (nests under any open span)."""
-    return TRACER.span(name, **attributes)
+    return Span(name, attributes, TRACER)
 
 
 #: Alias emphasising intent at call sites that open a run's *root* span.

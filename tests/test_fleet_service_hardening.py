@@ -8,8 +8,11 @@ ingest over HTTP, and the client-side half of those contracts.
 """
 
 import json
+import logging
 import socket
+import struct
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -24,6 +27,7 @@ from repro.fleet import (
     recover_fleet,
     serve,
 )
+from repro.fleet import service as service_module
 from repro.fleet.service import FleetService, ServiceError, _retry_headers
 
 GOOD_BITS = "01" * 64  # one n=128 sequence
@@ -144,6 +148,66 @@ class TestBodyLimits:
         status, body, _ = call(base, "GET", "/fleet/summary")
         assert status == 500
         assert body == {"error": "internal server error"}
+
+
+PARTIAL_POST = (
+    b"POST /ingest HTTP/1.1\r\n"
+    b"Host: test\r\n"
+    b"Content-Type: application/json\r\n"
+    b"Content-Length: 500\r\n"
+    b"\r\n"
+    b'{"device_id":'
+)
+
+
+def _connection_errors():
+    return sum(value for _, value in service_module._CONNECTION_ERRORS.samples())
+
+
+class TestStalledClients:
+    def test_stalled_body_gets_408_within_the_read_timeout(self, harness, monkeypatch):
+        # A client that sends headers and part of the body, then goes
+        # silent, must not hold a server thread indefinitely.
+        monkeypatch.setattr(service_module._FleetRequestHandler, "timeout", 0.3)
+        _, _, (host, port) = harness
+        with socket.create_connection((host, port), timeout=10) as sock:
+            sock.sendall(PARTIAL_POST)
+            start = time.monotonic()
+            reply = b""
+            while True:
+                chunk = sock.recv(4096)
+                if not chunk:
+                    break
+                reply += chunk
+            elapsed = time.monotonic() - start
+        status_line, _, rest = reply.partition(b"\r\n")
+        assert b"408" in status_line
+        assert b"request body not received within 0.3 s" in rest
+        assert elapsed < 5.0
+
+    def test_disconnect_is_one_warning_and_nothing_on_stderr(self, harness, capfd, caplog):
+        _, _, (host, port) = harness
+        before = _connection_errors()
+        caplog.set_level(logging.WARNING, logger="repro.fleet.service")
+        sock = socket.create_connection((host, port), timeout=10)
+        sock.sendall(PARTIAL_POST)
+        # Close with a reset (linger 0) mid-body: the server's next socket
+        # call fails with a connection error.
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        sock.close()
+        deadline = time.monotonic() + 5.0
+        while _connection_errors() == before and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert _connection_errors() == before + 1
+        assert capfd.readouterr().err == ""
+        dropped = [
+            record for record in caplog.records
+            if record.name == "repro.fleet.service" and "dropped" in record.getMessage()
+        ]
+        assert len(dropped) == 1
+        assert dropped[0].levelno == logging.WARNING
+        assert not dropped[0].exc_info  # no traceback
+        assert "ConnectionResetError" in dropped[0].getMessage()
 
 
 class TestBackpressure:

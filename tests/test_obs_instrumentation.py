@@ -65,9 +65,43 @@ class TestBatchInstrumentation:
         roots = [root for root in obs.TRACER.traces() if root.name == "run_batch"]
         assert roots, "run_batch recorded no root span"
         stages = roots[-1].stage_names()
-        for stage in ("run_batch", "pack", "dispatch", "decision"):
+        for stage in ("run_batch", "pack", "dispatch", "fold"):
             assert stage in stages
         obs.clear_traces()
+
+    def test_keyed_dispatch_counts_keys_and_one_fold_per_batch(self):
+        # Three distinct rows, each repeated: three keys per keyed test.
+        rows = np.stack([IdealSource(seed=950 + i).generate(256).bits for i in range(3)])
+        matrix = np.concatenate([rows, rows, rows[:1]])
+        obs.clear_traces()
+        run_batch(matrix, tests=["nist.frequency", "nist.cumulative_sums", "fips.monobit"])
+        root = [root for root in obs.TRACER.traces() if root.name == "run_batch"][-1]
+        dispatches = {
+            span.attributes["test"]: span.attributes
+            for span in root.children if span.name == "dispatch"
+        }
+        assert dispatches["nist.frequency"]["path"] == "batched"
+        assert dispatches["nist.frequency"]["keys"] <= 3
+        assert dispatches["nist.cumulative_sums"]["keys"] <= 3
+        assert dispatches["fips.monobit"]["path"] == "inline"
+        assert "keys" not in dispatches["fips.monobit"]
+        assert [span.name for span in root.children].count("fold") == 1
+        assert "decision" not in root.stage_names()
+        obs.clear_traces()
+
+    def test_tests_total_updated_once_per_path(self, sequences, monkeypatch):
+        totals = metric("repro_engine_tests_total")
+        updates = []
+        original = type(totals).inc
+
+        def counting_inc(self, amount=1.0, **labels):
+            if self is totals:
+                updates.append((amount, labels["path"]))
+            return original(self, amount, **labels)
+
+        monkeypatch.setattr(type(totals), "inc", counting_inc)
+        run_batch(sequences, tests=["nist.frequency", "nist.runs", "fips.monobit", "fips.runs"])
+        assert sorted(updates) == [(8, "batched"), (8, "inline")]
 
     def test_disabled_batch_still_computes(self, sequences):
         bits = metric("repro_engine_bits_evaluated_total")

@@ -221,7 +221,7 @@ class TestTraceFlag:
                 yield from names(child)
 
         stages = [name for root in roots for name in names(root)]
-        for stage in ("cli.batch", "run_batch", "pack", "dispatch", "decision"):
+        for stage in ("cli.batch", "run_batch", "pack", "dispatch", "fold"):
             assert stage in stages
         for root in roots:
             assert root["start_s"] == 0.0
