@@ -39,8 +39,8 @@ The server is a :class:`~http.server.ThreadingHTTPServer` (daemon threads,
 one per connection).  Every socket read and write times out after
 :data:`READ_TIMEOUT_S` — a stalled body is answered with 408 — and a
 connection that dies outside a response is logged as one WARNING line and
-counted, never printed as a traceback.  Lock holds are bounded: requests take the
-scheduler's re-entrant lock — the same lock
+counted, never printed as a traceback.  Lock holds are bounded: requests
+take the scheduler's re-entrant lock — the same lock
 :meth:`~repro.fleet.scheduler.FleetScheduler.run_round` holds — only around
 the registry/health mutations and snapshots, never around engine evaluation
 or response serialisation.  A slow ``GET /fleet/summary`` (large fleet, slow

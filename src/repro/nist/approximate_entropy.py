@@ -46,6 +46,13 @@ def phi_statistic(bits: BitsLike, m: int) -> float:
     return phi_from_counts(pattern_counts(arr, m, cyclic=True), n)
 
 
+def _validate(n: int, m: int) -> None:
+    if m < 1:
+        raise ValueError("approximate entropy test requires m >= 1")
+    if n < m + 2:
+        raise ValueError(f"sequence too short (n={n}) for block length m={m}")
+
+
 def _apen_result(n: int, m: int, counts_m: np.ndarray, counts_m1: np.ndarray) -> TestResult:
     """Decision math shared by the direct and context-aware entry points."""
     phi_m = phi_from_counts(counts_m, n)
@@ -90,10 +97,7 @@ def approximate_entropy_test(bits: BitsLike, m: int = 3) -> TestResult:
     """
     arr = to_bits(bits)
     n = arr.size
-    if m < 1:
-        raise ValueError("approximate entropy test requires m >= 1")
-    if n < m + 2:
-        raise ValueError(f"sequence too short (n={n}) for block length m={m}")
+    _validate(n, m)
     return _apen_result(
         n,
         m,
@@ -106,10 +110,7 @@ def approximate_entropy_test_from_context(context, m: int = 3) -> TestResult:
     """Context-aware entry point: reads the shared cyclic pattern counters
     (the same ones the serial test uses — the paper's unified counters)."""
     n = context.n
-    if m < 1:
-        raise ValueError("approximate entropy test requires m >= 1")
-    if n < m + 2:
-        raise ValueError(f"sequence too short (n={n}) for block length m={m}")
+    _validate(n, m)
     return _apen_result(
         n,
         m,
@@ -123,10 +124,7 @@ def approximate_entropy_test_batch(batch, m: int = 3) -> List[TestResult]:
     count row of a :class:`~repro.engine.context.BatchContext`, shared by
     equal rows (the ``m``-bit counts are an exact fold of that row)."""
     n = batch.n
-    if m < 1:
-        raise ValueError("approximate entropy test requires m >= 1")
-    if n < m + 2:
-        raise ValueError(f"sequence too short (n={n}) for block length m={m}")
+    _validate(n, m)
     # The longer counts first, so the m-bit counts fold from them.
     counts_m1 = batch.pattern_counts(m + 1, cyclic=True)
     counts_m = batch.pattern_counts(m, cyclic=True)

@@ -88,6 +88,13 @@ def _normal_cdf_values(x: np.ndarray) -> np.ndarray:
     return 0.5 * _special.erfc(-x / math.sqrt(2.0))
 
 
+def _validate(n: int, mode: int) -> None:
+    if n == 0:
+        raise ValueError("cumulative sums test requires a non-empty sequence")
+    if mode not in (0, 1):
+        raise ValueError("mode must be 0 (forward) or 1 (backward)")
+
+
 def cumulative_sums_test(bits: BitsLike, mode: int = 0) -> TestResult:
     """Run the cumulative-sums test.
 
@@ -107,20 +114,14 @@ def cumulative_sums_test(bits: BitsLike, mode: int = 0) -> TestResult:
     """
     arr = to_bits(bits)
     n = arr.size
-    if n == 0:
-        raise ValueError("cumulative sums test requires a non-empty sequence")
-    if mode not in (0, 1):
-        raise ValueError("mode must be 0 (forward) or 1 (backward)")
+    _validate(n, mode)
     return _cusum_result(n, mode, *random_walk_extremes(arr))
 
 
 def cumulative_sums_test_from_context(context, mode: int = 0) -> TestResult:
     """Context-aware entry point: the walk extremes come from the shared
     context's memoized ±1 cumulative sums instead of a re-scan."""
-    if context.n == 0:
-        raise ValueError("cumulative sums test requires a non-empty sequence")
-    if mode not in (0, 1):
-        raise ValueError("mode must be 0 (forward) or 1 (backward)")
+    _validate(context.n, mode)
     return _cusum_result(context.n, mode, *context.walk_extremes())
 
 
@@ -130,10 +131,7 @@ def cumulative_sums_test_batch(batch, mode: int = 0) -> List[TestResult]:
     shared by equal rows.  The key is the whole triple, not the excursion
     ``z``, because the result's details carry all three values."""
     n = batch.n
-    if n == 0:
-        raise ValueError("cumulative sums test requires a non-empty sequence")
-    if mode not in (0, 1):
-        raise ValueError("mode must be 0 (forward) or 1 (backward)")
+    _validate(n, mode)
     s_max, s_min, s_final = batch.walk_extremes()
     return decide_per_key(
         np.column_stack((s_max, s_min, s_final)),

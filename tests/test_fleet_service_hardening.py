@@ -168,7 +168,9 @@ class TestStalledClients:
     def test_stalled_body_gets_408_within_the_read_timeout(self, harness, monkeypatch):
         # A client that sends headers and part of the body, then goes
         # silent, must not hold a server thread indefinitely.
-        monkeypatch.setattr(service_module._FleetRequestHandler, "timeout", 0.3)
+        handler = service_module._FleetRequestHandler
+        assert handler.timeout == service_module.READ_TIMEOUT_S > 0
+        monkeypatch.setattr(handler, "timeout", 0.3)
         _, _, (host, port) = harness
         with socket.create_connection((host, port), timeout=10) as sock:
             sock.sendall(PARTIAL_POST)
