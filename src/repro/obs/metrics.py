@@ -148,13 +148,17 @@ class _Metric:
 
     def _key(self, labels: Mapping[str, object]) -> Tuple[str, ...]:
         # Every update pays for this lookup, so it avoids building sets and
-        # generators: a keys view compares with a frozenset directly.
+        # generators: a keys view compares with a frozenset directly, and
+        # the common one-label key is built without a comprehension.
         if labels.keys() != self._label_set:
             raise ValueError(
                 f"metric {self.name!r} takes labels {self.label_names}, "
                 f"got {tuple(sorted(labels))}"
             )
-        return tuple([str(labels[name]) for name in self.label_names])
+        names = self.label_names
+        if len(names) == 1:
+            return (str(labels[names[0]]),)
+        return tuple([str(labels[name]) for name in names])
 
     def signature(self) -> Tuple[str, Tuple[str, ...]]:
         """Identity for get-or-create conflict checks."""

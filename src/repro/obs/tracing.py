@@ -36,6 +36,9 @@ from repro.obs import metrics as _metrics
 
 __all__ = ["Span", "Tracer", "TRACER", "span", "trace", "export_traces", "clear_traces"]
 
+#: The span clock, bound once: every span reads it twice.
+_clock = time.perf_counter
+
 #: Default bound of the recent-trace ring: enough to hold a whole CLI run's
 #: batch/round roots, small enough that a long-lived service stays O(1).
 DEFAULT_TRACE_CAPACITY = 128
@@ -72,11 +75,11 @@ class Span:
             if stack:
                 stack[-1].children.append(self)
             stack.append(self)
-        self.start_s = time.perf_counter()
+        self.start_s = _clock()
         return self
 
     def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
-        self.duration_s = time.perf_counter() - self.start_s
+        self.duration_s = _clock() - self.start_s
         if exc_type is not None:
             self.error = getattr(exc_type, "__name__", str(exc_type))
         stack = self._stack
@@ -126,10 +129,11 @@ class Tracer:
         self._local = threading.local()
 
     def _stack(self) -> List[Span]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
+        try:
+            return self._local.stack
+        except AttributeError:
             stack = self._local.stack = []
-        return stack
+            return stack
 
     def _record(self, root: Span) -> None:
         with self._lock:
