@@ -58,7 +58,7 @@ import threading
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -68,6 +68,7 @@ from repro.nist.common import pack_bits, unpack_bits
 from repro.fleet.scheduler import (
     DuplicateIngestError,
     FleetScheduler,
+    IngestChunk,
     IngestSequenceGapError,
 )
 
@@ -75,6 +76,7 @@ __all__ = [
     "DurableFleet",
     "IngestJournal",
     "JournalReplayStats",
+    "REPLAY_BATCH_ROWS",
     "SNAPSHOT_FORMAT",
     "SNAPSHOT_VERSION",
     "atomic_write_bytes",
@@ -95,6 +97,10 @@ SNAPSHOT_VERSION = 1
 
 #: Snapshot file name inside a spool directory.
 SNAPSHOT_NAME = "snapshot.json"
+
+#: Sequences a journal replay collects before it evaluates them; the bound
+#: keeps replay memory flat on long journals between barrier records.
+REPLAY_BATCH_ROWS = 4096
 
 #: Journal segment naming: ``wal.<generation>.jsonl``.
 _SEGMENT_RE = re.compile(r"^wal\.(\d{8})\.jsonl$")
@@ -347,8 +353,13 @@ def read_journal(path: Union[str, Path]) -> Tuple[List[Dict[str, Any]], bool]:
     by construction that is a torn tail from a crash mid-append (records
     are framed per line, so nothing after a torn line can be trusted to
     align).  ``torn_tail`` reports whether anything was dropped.
+
+    Every frame is verified first; the verified payloads then decode in one
+    ``json.loads`` of their JSON array.  Only if that fails does decoding
+    fall back to one payload at a time, stopping at the first that does
+    not parse (also a torn tail).
     """
-    records: List[Dict[str, Any]] = []
+    payloads: List[str] = []
     torn = False
     with open(path, "r", encoding="utf-8") as handle:
         raw = handle.read()
@@ -368,12 +379,23 @@ def read_journal(path: Union[str, Path]) -> Tuple[List[Dict[str, Any]], bool]:
         if zlib.crc32(payload.encode("utf-8")) != crc:
             torn = True
             break
+        payloads.append(payload)
+    records: List[Dict[str, Any]]
+    try:
+        records = json.loads("[" + ",".join(payloads) + "]")
+    except json.JSONDecodeError:
+        records = []
+    # Every payload the journal writes is one JSON object, so the array has
+    # one element per payload; any other count means a payload was not, and
+    # the per-payload loop finds it.
+    if len(records) == len(payloads):
+        return records, torn
+    records = []
+    for payload in payloads:
         try:
-            record = json.loads(payload)
+            records.append(json.loads(payload))
         except json.JSONDecodeError:
-            torn = True
-            break
-        records.append(record)
+            return records, True
     return records, torn
 
 
@@ -415,71 +437,124 @@ def replay_records(
 ) -> JournalReplayStats:
     """Re-apply journal records to a restored scheduler, idempotently.
 
-    Ingest records re-run through the sequenced ingest path: chunks the
-    snapshot already contains come back as duplicates and are skipped
-    without effect, so replaying an overlap (records appended just before
-    the snapshot's capture) converges on the same state.  Round markers
-    rerun :meth:`~repro.fleet.scheduler.FleetScheduler.run_round` only for
+    Ingest records replay through the sequenced ingest contract.  A record
+    at or below its device's high-water mark is counted as a duplicate
+    from its seq alone, before its bits are decoded — so replaying an
+    overlap (records appended just before the snapshot's capture) costs
+    next to nothing and converges on the same state.  The remaining
+    ingest records are collected and applied by
+    :meth:`~repro.fleet.scheduler.FleetScheduler.ingest_many` — one engine
+    evaluation per run — at every ``round`` or ``device`` record, at the
+    end, and whenever :data:`REPLAY_BATCH_ROWS` sequences are pending.
+    Round markers rerun
+    :meth:`~repro.fleet.scheduler.FleetScheduler.run_round` only for
     rounds beyond the snapshot's history — the restored sources carry
     their RNG state, so a replayed round is bit-identical to the one the
     crash interrupted.  The scheduler's journal must not be attached yet
     (replayed mutations would be re-journaled).
     """
     stats = stats if stats is not None else JournalReplayStats()
-    for record in records:
-        kind = record.get("t")
-        if kind == "round":
-            if int(record["index"]) < len(scheduler.rounds):
-                stats.rounds_skipped += 1
-                _WAL_REPLAYED.inc(outcome="round_skipped")
-            else:
-                scheduler.run_round()
-                stats.rounds_applied += 1
-                _WAL_REPLAYED.inc(outcome="round_applied")
-        elif kind == "device":
-            device_id = record["device"]
-            with scheduler.lock:
-                if device_id in scheduler.registry:
-                    stats.devices_existing += 1
-                    _WAL_REPLAYED.inc(outcome="device_existing")
-                else:
-                    try:
-                        scheduler.registry.register(
-                            device_id,
-                            scenario=record.get("scenario"),
-                            seed=record.get("seed"),
-                        )
-                    except ValueError:
-                        # Journaled write-ahead of a registration that then
-                        # failed validation; it never existed, skip it.
-                        stats.errors += 1
-                        _WAL_REPLAYED.inc(outcome="error")
-                    else:
-                        stats.devices_registered += 1
-                        _WAL_REPLAYED.inc(outcome="device_registered")
-        elif kind == "ingest":
-            bits = unpack_bits(
-                base64.b64decode(record["bits"]), count=int(record["nbits"])
-            )
-            try:
-                scheduler.ingest(record["device"], bits, seq=record.get("seq"))
+    n = scheduler.registry.n
+    marks = scheduler.last_ingest_seqs()
+    pending: List[IngestChunk] = []
+    pending_rows = 0
+    outcomes: Dict[str, int] = {}
+    batches = 0
+
+    def count(outcome: str) -> None:
+        outcomes[outcome] = outcomes.get(outcome, 0) + 1
+
+    def flush() -> None:
+        nonlocal pending_rows, batches
+        if not pending:
+            return
+        batches += 1
+        for (device_id, _, seq), outcome in zip(pending, scheduler.ingest_many(pending)):
+            if isinstance(outcome, list):
                 stats.applied += 1
-                _WAL_REPLAYED.inc(outcome="applied")
-            except DuplicateIngestError:
+                count("applied")
+                if seq is not None:
+                    marks[device_id] = seq
+            elif isinstance(outcome, DuplicateIngestError):
                 stats.duplicates += 1
-                _WAL_REPLAYED.inc(outcome="duplicate")
-            except IngestSequenceGapError:
+                count("duplicate")
+            elif isinstance(outcome, IngestSequenceGapError):
                 stats.gaps += 1
-                _WAL_REPLAYED.inc(outcome="gap")
-            except (KeyError, ValueError):
+                count("gap")
+            else:
                 # A malformed chunk was journaled ahead of its validation
                 # failure; it had no effect then and has none now.
                 stats.errors += 1
-                _WAL_REPLAYED.inc(outcome="error")
-        else:
-            stats.errors += 1
-            _WAL_REPLAYED.inc(outcome="unknown")
+                count("error")
+        pending.clear()
+        pending_rows = 0
+
+    with obs.span("replay", records=len(records)) as span:
+        try:
+            for record in records:
+                kind = record.get("t")
+                if kind == "ingest":
+                    seq = record.get("seq")
+                    mark = marks.get(record["device"])
+                    if seq is not None and mark is not None and 0 <= seq <= mark:
+                        stats.duplicates += 1
+                        count("duplicate")
+                        continue
+                    nbits = int(record["nbits"])
+                    bits = unpack_bits(base64.b64decode(record["bits"]), count=nbits)
+                    pending.append((record["device"], bits, seq))
+                    pending_rows += nbits // n
+                    if pending_rows >= REPLAY_BATCH_ROWS:
+                        flush()
+                elif kind == "round":
+                    flush()
+                    if int(record["index"]) < len(scheduler.rounds):
+                        stats.rounds_skipped += 1
+                        count("round_skipped")
+                    else:
+                        scheduler.run_round()
+                        stats.rounds_applied += 1
+                        count("round_applied")
+                elif kind == "device":
+                    flush()
+                    _replay_device(scheduler, record, stats, count)
+                else:
+                    stats.errors += 1
+                    count("unknown")
+            flush()
+        finally:
+            for outcome, total in outcomes.items():
+                _WAL_REPLAYED.inc(total, outcome=outcome)
+        span.attributes["duplicates"] = outcomes.get("duplicate", 0)
+        span.attributes["batches"] = batches
     return stats
+
+
+def _replay_device(
+    scheduler: FleetScheduler,
+    record: Dict[str, Any],
+    stats: JournalReplayStats,
+    count: Callable[[str], None],
+) -> None:
+    """Replay one device registration record."""
+    device_id = record["device"]
+    with scheduler.lock:
+        if device_id in scheduler.registry:
+            stats.devices_existing += 1
+            count("device_existing")
+            return
+        try:
+            scheduler.registry.register(
+                device_id, scenario=record.get("scenario"), seed=record.get("seed")
+            )
+        except ValueError:
+            # Journaled write-ahead of a registration that then failed
+            # validation; it never existed, skip it.
+            stats.errors += 1
+            count("error")
+        else:
+            stats.devices_registered += 1
+            count("device_registered")
 
 
 def _segment_generations(directory: Path) -> List[int]:
@@ -508,24 +583,34 @@ def recover_fleet(
     attach a :class:`DurableFleet` afterwards to resume journaling and
     snapshotting (its first checkpoint folds the replayed journal into a
     fresh snapshot).
+
+    The recovery is traced as a ``durability.recover`` root with one child
+    per layer: ``snapshot_read`` (decode + restore), ``journal_read`` (every
+    retained segment) and ``replay`` (see :func:`replay_records`).
     """
     spool = Path(directory)
     snapshot_path = spool / SNAPSHOT_NAME
     if not snapshot_path.is_file():
         raise FileNotFoundError(f"no fleet snapshot at {snapshot_path}")
-    state, wal_generation = read_snapshot(snapshot_path)
-    registry = DeviceRegistry.from_state(state["registry"], catalog=catalog)  # type: ignore[arg-type]
-    scheduler = FleetScheduler(registry, streaming=state["streaming"])
-    scheduler.load_state(state)
-    stats = JournalReplayStats()
-    for generation in _segment_generations(spool):
-        if generation < wal_generation:
-            continue
-        segment = _segment_path(spool, generation)
-        records, torn = read_journal(segment)
-        stats.segments.append(segment.name)
-        if torn:
-            stats.torn_segments += 1
+    with obs.trace("durability.recover"):
+        with obs.span("snapshot_read"):
+            state, wal_generation = read_snapshot(snapshot_path)
+            registry = DeviceRegistry.from_state(state["registry"], catalog=catalog)  # type: ignore[arg-type]
+            scheduler = FleetScheduler(registry, streaming=state["streaming"])
+            scheduler.load_state(state)
+        stats = JournalReplayStats()
+        records: List[Dict[str, Any]] = []
+        with obs.span("journal_read") as span:
+            for generation in _segment_generations(spool):
+                if generation < wal_generation:
+                    continue
+                segment = _segment_path(spool, generation)
+                segment_records, torn = read_journal(segment)
+                records.extend(segment_records)
+                stats.segments.append(segment.name)
+                if torn:
+                    stats.torn_segments += 1
+            span.attributes["segments"] = len(stats.segments)
         replay_records(scheduler, records, stats)
     _RECOVERIES.inc()
     return scheduler, stats

@@ -20,8 +20,9 @@ stay >= 5x faster than the naive per-device loop at a 512-device fleet.
 from __future__ import annotations
 
 import threading
+from contextlib import ExitStack
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -46,6 +47,13 @@ __all__ = [
     "IngestSequenceGapError",
 ]
 
+#: One :meth:`FleetScheduler.ingest_many` chunk: ``(device_id, bits, seq)``.
+IngestChunk = Tuple[str, BitsLike, Optional[int]]
+#: One chunk's ingest outcome: its events, or the rejection ``ingest`` raises
+#: (an unknown device's ``KeyError``, or a ``ValueError`` — malformed bits,
+#: a bad length, or an :class:`IngestSequenceError`).
+IngestOutcome = Union[List[MonitorEvent], KeyError, ValueError]
+
 #: Canonical registry id -> NIST test number (for verdict attribution).
 _ID_TO_NIST_NUMBER = {test_id: number for number, test_id in NIST_NUMBER_TO_ID.items()}
 
@@ -59,7 +67,9 @@ _DEVICES_PER_S = obs.gauge(
 )
 _INGEST_BITS = obs.counter(
     "repro_fleet_ingest_bits_total",
-    "Raw bits submitted through FleetScheduler.ingest (the service path).",
+    "Raw bits submitted through FleetScheduler.ingest/ingest_many (the service "
+    "path); journal replay screens duplicates by seq before ingest, so they are "
+    "not counted here (repro_durability_wal_replayed_total is the replay ledger).",
 )
 _HEALTH_TRANSITIONS = obs.counter(
     "repro_fleet_health_transitions_total",
@@ -68,7 +78,9 @@ _HEALTH_TRANSITIONS = obs.counter(
 )
 _INGEST_REJECTED = obs.counter(
     "repro_fleet_ingest_rejected_total",
-    "Idempotency rejections on the sequenced ingest path, by reason.",
+    "Idempotency rejections on the sequenced ingest path, by reason; duplicates "
+    "that journal replay screens by seq never reach ingest and are not counted "
+    "here (repro_durability_wal_replayed_total is the replay ledger).",
     labels=("reason",),
 )
 
@@ -363,69 +375,143 @@ class FleetScheduler:
         rounds while the statistics run.  Chunks for one device serialise
         on that device's own entry lock instead (chunk order defines the
         stream and the seq order).
+
+        This is the one-chunk call of :meth:`ingest_many`, re-raising the
+        chunk's exception.
         """
-        device = self.registry.get(device_id)
-        arr = to_bits(bits)
-        _INGEST_BITS.inc(arr.size)
-        n = self.registry.n
-        entry = self._ingest_entry(device_id)
-        with entry.lock:
-            self._check_seq(entry, device_id, seq)
-            # Write-ahead: journal the accepted chunk before applying it,
-            # inside the entry lock so per-device journal order matches
-            # apply order (replay depends on that for the seq contract).
-            # During recovery replay the journal is still detached, so
-            # replayed chunks are not re-journaled.
-            journal = self.journal
-            if journal is not None:
-                journal.append_ingest(device_id, arr, seq=seq)
-            verdicts: List[FleetVerdict]
-            if self.streaming:
-                if arr.size == 0:
-                    raise ValueError("streaming ingest needs at least one bit")
-                context = entry.context
-                assert context is not None  # streaming entries always carry a ring
-                verdicts = []
-                offset = 0
-                while offset < arr.size:
-                    take = min(n - entry.pending, arr.size - offset)
-                    context.push(arr[offset : offset + take])
-                    offset += take
-                    entry.pending += take
-                    if entry.pending == n:
-                        reports = run_batch(
-                            context.window_context(),
-                            tests=list(self.registry.tests),
-                        )
-                        verdicts.extend(self._verdicts(reports))
-                        entry.pending = 0
-            else:
-                if arr.size == 0 or arr.size % n != 0:
-                    raise ValueError(
-                        f"ingest needs a positive multiple of {n} bits "
-                        f"(the {self.registry.design_name} sequence length), "
-                        f"got {arr.size}"
-                    )
-                verdicts = self.evaluate_matrix(arr.reshape(-1, n))
+        (outcome,) = self.ingest_many(((device_id, bits, seq),))
+        if isinstance(outcome, (KeyError, ValueError)):
+            raise outcome
+        return outcome
+
+    def ingest_many(self, chunks: Sequence[IngestChunk]) -> List[IngestOutcome]:
+        """Ingest ``(device_id, bits, seq)`` chunks in order, evaluated once.
+
+        Every chunk is treated exactly as :meth:`ingest` treats it — same
+        validation, seq contract, write-ahead journal record and health
+        fold, in chunk order — but all the sequences the chunks complete go
+        through a single ``run_batch``.  Returns one outcome per chunk: its
+        events, or the ``KeyError``/``ValueError`` :meth:`ingest` raises to
+        reject it; a rejected chunk does not stop the chunks after it.  Any
+        other exception (a failing journal write, say) propagates.
+
+        The distinct devices' entry locks are held throughout, taken in
+        sorted order (the order :meth:`state_dict` uses), over three phases:
+
+        1. *accept* each chunk in order — check its seq against the entry's
+           high-water mark, counting chunks accepted earlier in this call;
+           journal it write-ahead; validate its length and collect its rows
+           (matrix mode: its n-bit rows; streaming mode: push it into the
+           device's ring and take the window each completed sequence
+           leaves);
+        2. *evaluate* every collected row in one ``run_batch``;
+        3. *commit* each accepted chunk in order — fold its verdicts under
+           the fleet lock, then advance its ``last_seq``.
+        """
+        outcomes: List[IngestOutcome] = []
+        staged: List[Tuple[int, str, Device, np.ndarray, Optional[int]]] = []
+        entries: Dict[str, _IngestStream] = {}
+        for index, (device_id, bits, seq) in enumerate(chunks):
+            outcomes.append([])
+            try:
+                device = self.registry.get(device_id)
+                arr = to_bits(bits)
+            except (KeyError, ValueError) as exc:
+                outcomes[index] = exc
+                continue
+            _INGEST_BITS.inc(arr.size)
+            if device_id not in entries:
+                entries[device_id] = self._ingest_entry(device_id)
+            staged.append((index, device_id, device, arr, seq))
+        with ExitStack() as held:
+            for device_id in sorted(entries):
+                held.enter_context(entries[device_id].lock)
+            marks = {device_id: entry.last_seq for device_id, entry in entries.items()}
+            rows: List[np.ndarray] = []
+            accepted: List[Tuple[int, _IngestStream, Device, Optional[int], int, int]] = []
+            total = 0
+            for index, device_id, device, arr, seq in staged:
+                entry = entries[device_id]
+                try:
+                    self._check_seq(device_id, seq, marks[device_id])
+                    # Write-ahead: journal the accepted chunk before applying
+                    # it, under the entry lock so per-device journal order
+                    # matches apply order (replay depends on that for the seq
+                    # contract).  During recovery replay the journal is still
+                    # detached, so replayed chunks are not re-journaled.
+                    journal = self.journal
+                    if journal is not None:
+                        journal.append_ingest(device_id, arr, seq=seq)
+                    count = self._collect_rows(entry, arr, rows)
+                except ValueError as exc:
+                    outcomes[index] = exc
+                    continue
+                if seq is not None:
+                    marks[device_id] = seq
+                accepted.append((index, entry, device, seq, total, total + count))
+                total += count
+            verdicts = self._evaluate_rows(rows) if rows else []
             with self.lock:
-                events = self._observe_all(device, verdicts)
-            # Commit the idempotency high-water mark only after the fold:
-            # a chunk that failed validation or evaluation stays unapplied
-            # and must be resendable under the same seq.
-            if seq is not None:
-                entry.last_seq = seq
-            return events
+                for index, entry, device, seq, start, stop in accepted:
+                    outcomes[index] = self._observe_all(device, verdicts[start:stop])
+                    # The idempotency high-water mark commits only after the
+                    # fold: a chunk that failed validation stays unapplied
+                    # and must be resendable under the same seq.
+                    if seq is not None:
+                        entry.last_seq = seq
+        return outcomes
+
+    def _collect_rows(
+        self, entry: _IngestStream, arr: np.ndarray, rows: List[np.ndarray]
+    ) -> int:
+        """Validate one chunk's length, append the sequences it completes.
+
+        Matrix mode appends the chunk's ``(k, n)`` uint8 rows; streaming mode
+        pushes the chunk into the device's ring and appends the packed
+        window each completed sequence leaves, so a partial sequence pends.
+        Returns the number of sequences appended.
+        """
+        n = self.registry.n
+        if not self.streaming:
+            if arr.size == 0 or arr.size % n != 0:
+                raise ValueError(
+                    f"ingest needs a positive multiple of {n} bits "
+                    f"(the {self.registry.design_name} sequence length), "
+                    f"got {arr.size}"
+                )
+            rows.append(arr.reshape(-1, n))
+            return arr.size // n
+        if arr.size == 0:
+            raise ValueError("streaming ingest needs at least one bit")
+        context = entry.context
+        assert context is not None  # streaming entries always carry a ring
+        offset = count = 0
+        while offset < arr.size:
+            take = min(n - entry.pending, arr.size - offset)
+            context.push(arr[offset : offset + take])
+            offset += take
+            entry.pending += take
+            if entry.pending == n:
+                rows.append(context.window_matrix().words)
+                entry.pending = 0
+                count += 1
+        return count
+
+    def _evaluate_rows(self, rows: List[np.ndarray]) -> List[FleetVerdict]:
+        """All collected ingest rows through the engine as one batch."""
+        if self.streaming:
+            return self.evaluate_matrix(
+                PackedMatrix(np.concatenate(rows), self.registry.n)
+            )
+        return self.evaluate_matrix(rows[0] if len(rows) == 1 else np.concatenate(rows))
 
     @staticmethod
-    def _check_seq(
-        entry: _IngestStream, device_id: str, seq: Optional[int]
-    ) -> None:
+    def _check_seq(device_id: str, seq: Optional[int], last: Optional[int]) -> None:
         """Enforce the strictly-in-order per-device seq contract (if opted in)."""
         if seq is None:
             return
         if seq < 0:
             raise ValueError("ingest seq must be non-negative")
-        last = entry.last_seq
         if last is None:
             return
         if seq <= last:
@@ -444,6 +530,19 @@ class FleetScheduler:
             return None
         with entry.lock:
             return entry.last_seq
+
+    def last_ingest_seqs(self) -> Dict[str, Optional[int]]:
+        """Every ingest entry's last applied seq, by device id.
+
+        Devices that never ingested have no entry and are absent.
+        """
+        with self._streams_lock:
+            entries = list(self._ingest_streams.items())
+        marks: Dict[str, Optional[int]] = {}
+        for device_id, entry in entries:
+            with entry.lock:
+                marks[device_id] = entry.last_seq
+        return marks
 
     def _observe_all(
         self, device: Device, verdicts: List[FleetVerdict]

@@ -7,8 +7,10 @@ identical observable behaviour (health verdicts, round reports, streaming
 windows).
 """
 
+import base64
 import json
 import threading
+import zlib
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.core.monitor import OnTheFlyMonitor
 from repro.core.platform import OnTheFlyPlatform
+import repro.fleet.scheduler as scheduler_module
 from repro.engine.streaming import StreamingBatchContext, StreamingContext
 from repro.fleet import (
     DeviceRegistry,
@@ -25,6 +28,7 @@ from repro.fleet import (
     FleetMix,
     FleetScheduler,
     IngestSequenceGapError,
+    JournalReplayStats,
     recover_fleet,
 )
 from repro.fleet.durability import (
@@ -41,6 +45,7 @@ from repro.fleet.durability import (
     replay_records,
     write_snapshot,
 )
+from repro.nist.common import unpack_bits
 
 
 def make_fleet(streaming=False, devices=8, seed=5):
@@ -58,6 +63,20 @@ def round_key(fleet_round):
 
 def health_map(scheduler):
     return {d.device_id: d.snapshot() for d in scheduler.registry}
+
+
+@pytest.fixture
+def run_batch_calls(monkeypatch):
+    """One entry per engine evaluation the fleet scheduler makes."""
+    calls = []
+    real = scheduler_module.run_batch
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scheduler_module, "run_batch", counting)
+    return calls
 
 
 # ---------------------------------------------------------------- atomic IO
@@ -130,6 +149,20 @@ class TestIngestJournal:
         path.write_text("deadbeef" + line[8:])
         records, torn = read_journal(path)
         assert torn and records == []
+
+    def test_crc_valid_but_undecodable_payload_stops_the_read(self, tmp_path):
+        # The one-call array decode fails on it; the per-payload fallback
+        # keeps the records before it and reports a torn tail.
+        path = tmp_path / "wal.00000000.jsonl"
+        with IngestJournal(path) as journal:
+            journal.append_round(0)
+        bad = b'{"t":"round",'
+        with open(path, "ab") as handle:
+            handle.write(b"%08x " % zlib.crc32(bad) + bad + b"\n")
+        with IngestJournal(path) as journal:
+            journal.append_round(2)
+        records, torn = read_journal(path)
+        assert torn and records == [{"t": "round", "index": 0}]
 
     def test_append_after_close_reopens(self, tmp_path):
         path = tmp_path / "wal.00000000.jsonl"
@@ -321,6 +354,53 @@ class TestSequencedIngestContract:
         scheduler.close()
 
 
+class TestIngestMany:
+    def test_outcomes_match_one_ingest_at_a_time(self):
+        batched, serial = make_fleet(), make_fleet()
+        a, b = batched.registry.device_ids()[:2]
+        rng = np.random.default_rng(3)
+        good = [rng.integers(0, 2, 128 * k, dtype=np.uint8) for k in (1, 2, 1, 1)]
+        chunks = [
+            (a, good[0], 0),
+            (a, good[1], 1),  # accepted on the strength of seq 0 in this call
+            (a, good[2], 1),  # duplicate of a chunk accepted in this call
+            (a, good[2], 3),  # gap
+            ("ghost", good[3], 0),  # unknown device
+            (b, good[3][:100], 0),  # not a multiple of n
+            (b, good[3], 0),  # the same seq, now well-formed
+            (b, "01x", None),  # not bits
+            (b, good[0], None),  # unsequenced
+        ]
+        outcomes = batched.ingest_many(chunks)
+        for (device_id, bits, seq), outcome in zip(chunks, outcomes):
+            try:
+                expected = serial.ingest(device_id, bits, seq=seq)
+            except (KeyError, ValueError) as exc:
+                assert type(outcome) is type(exc) and str(outcome) == str(exc)
+            else:
+                assert [e.state for e in outcome] == [e.state for e in expected]
+                assert [e.report.passed for e in outcome] == [
+                    e.report.passed for e in expected
+                ]
+        assert [len(o) for o in outcomes if isinstance(o, list)] == [1, 2, 1, 1]
+        assert health_map(batched) == health_map(serial)
+        for device_id in (a, b):
+            assert batched.last_ingest_seq(device_id) == serial.last_ingest_seq(device_id)
+        batched.close()
+        serial.close()
+
+    @pytest.mark.parametrize("streaming", [False, True])
+    def test_one_run_batch_per_call(self, run_batch_calls, streaming):
+        scheduler = make_fleet(streaming=streaming)
+        devices = scheduler.registry.device_ids()
+        outcomes = scheduler.ingest_many(
+            [(device_id, np.ones(256, dtype=np.uint8), 0) for device_id in devices]
+        )
+        assert len(run_batch_calls) == 1
+        assert [len(o) for o in outcomes] == [2] * len(devices)
+        scheduler.close()
+
+
 # ------------------------------------------------------- durable fleet + recovery
 class TestDurableFleetRecovery:
     @pytest.mark.parametrize("streaming", [False, True])
@@ -445,6 +525,143 @@ class TestDurableFleetRecovery:
             ],
         )
         assert stats.errors == 2
+        scheduler.close()
+
+
+# ------------------------------------------------------------ replay parity
+def parity_fleet(streaming):
+    """Four devices with some sequenced history and one round behind them."""
+    scheduler = make_fleet(streaming=streaming, devices=4, seed=5)
+    rng = np.random.default_rng(1)
+    for device_id in scheduler.registry.device_ids()[:2]:
+        for seq in range(2):
+            scheduler.ingest(device_id, rng.integers(0, 2, 128, dtype=np.uint8), seq=seq)
+    scheduler.run_round()
+    return scheduler
+
+
+def random_journal(path, seed, device_ids, streaming):
+    """A seeded journal mixing device, round and ingest records.
+
+    Ingest records include in-order chunks, duplicates, gaps, ``seq=None``,
+    lengths the scheduler rejects, unknown and late-registered devices, and
+    bursts of consecutive chunks for one device between barriers.
+    """
+    rng = np.random.default_rng(seed)
+    devices = list(device_ids) + ["late-0", "ghost"]
+    next_seq = {device_id: 2 for device_id in device_ids[:2]}
+    lengths = [0, 50, 128, 200, 300] if streaming else [128, 256, 384, 100]
+    with IngestJournal(path) as journal:
+        for _ in range(40):
+            roll = rng.random()
+            if roll < 0.1:
+                journal.append_round(int(rng.integers(0, 4)))
+                continue
+            if roll < 0.15:
+                journal.append_device(str(rng.choice(devices[-3:-1])))
+                continue
+            device_id = str(rng.choice(devices))
+            for _ in range(int(rng.choice([1, 1, 3]))):
+                nominal = next_seq.get(device_id, 0)
+                seq = rng.choice([nominal, nominal, nominal - 1, nominal + 1, -1])
+                seq = None if seq == -1 else max(int(seq), 0)
+                if seq == nominal:
+                    next_seq[device_id] = nominal + 1
+                nbits = int(rng.choice(lengths))
+                journal.append_ingest(
+                    device_id, rng.integers(0, 2, nbits, dtype=np.uint8), seq=seq
+                )
+    records, torn = read_journal(path)
+    assert not torn
+    return records
+
+
+def replay_one_at_a_time(scheduler, records):
+    """The replay oracle: every ingest record through its own ``ingest``.
+
+    Returns the stats and, per barrier-free run of records (split at round
+    and device records), whether any of its ingests produced events.
+    """
+    stats = JournalReplayStats()
+    runs = [False]
+    for record in records:
+        kind = record["t"]
+        if kind == "round":
+            runs.append(False)
+            if record["index"] < len(scheduler.rounds):
+                stats.rounds_skipped += 1
+            else:
+                scheduler.run_round()
+                stats.rounds_applied += 1
+        elif kind == "device":
+            runs.append(False)
+            if record["device"] in scheduler.registry:
+                stats.devices_existing += 1
+            else:
+                scheduler.registry.register(record["device"])
+                stats.devices_registered += 1
+        else:
+            bits = unpack_bits(base64.b64decode(record["bits"]), count=record["nbits"])
+            try:
+                events = scheduler.ingest(record["device"], bits, seq=record["seq"])
+            except DuplicateIngestError:
+                stats.duplicates += 1
+            except IngestSequenceGapError:
+                stats.gaps += 1
+            except (KeyError, ValueError):
+                stats.errors += 1
+            else:
+                stats.applied += 1
+                runs[-1] = runs[-1] or bool(events)
+    return stats, runs
+
+
+def fleet_view(scheduler):
+    ids = scheduler.registry.device_ids()
+    return {
+        "health": health_map(scheduler),
+        "seqs": {device_id: scheduler.last_ingest_seq(device_id) for device_id in ids},
+        "pending": {device_id: scheduler.pending_bits(device_id) for device_id in ids},
+        "rounds": [round_key(r) for r in scheduler.rounds],
+    }
+
+
+class TestReplayParity:
+    @pytest.mark.parametrize("streaming", [False, True])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_batched_replay_equals_one_ingest_at_a_time(
+        self, tmp_path, run_batch_calls, streaming, seed
+    ):
+        live, replayed = parity_fleet(streaming), parity_fleet(streaming)
+        records = random_journal(
+            tmp_path / "wal.jsonl", seed, live.registry.device_ids(), streaming
+        )
+        expected_stats, runs = replay_one_at_a_time(live, records)
+        run_batch_calls.clear()
+        stats = replay_records(replayed, records)
+        assert stats.to_dict() == expected_stats.to_dict()
+        assert fleet_view(replayed) == fleet_view(live)
+        # One evaluation per barrier-free run that completes a sequence,
+        # plus one per replayed round (no run reaches the row bound).
+        assert len(run_batch_calls) == sum(runs) + stats.rounds_applied
+        live.close()
+        replayed.close()
+
+    def test_row_bound_splits_a_long_run(self, monkeypatch, run_batch_calls):
+        scheduler = make_fleet(devices=2)
+        device_id = scheduler.registry.device_ids()[0]
+        rng = np.random.default_rng(4)
+        records = []
+        for seq in range(5):
+            bits = rng.integers(0, 2, 128, dtype=np.uint8)
+            records.append({
+                "t": "ingest", "device": device_id, "seq": seq, "nbits": 128,
+                "bits": base64.b64encode(np.packbits(bits).tobytes()).decode("ascii"),
+            })
+        monkeypatch.setattr("repro.fleet.durability.REPLAY_BATCH_ROWS", 2)
+        stats = replay_records(scheduler, records)
+        assert stats.applied == 5 and len(run_batch_calls) == 3
+        assert scheduler.last_ingest_seq(device_id) == 4
         scheduler.close()
 
 

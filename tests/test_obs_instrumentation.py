@@ -5,6 +5,8 @@ also move them, so each assertion compares a before/after pair around one
 workload instead of absolute values.
 """
 
+import base64
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,8 @@ from repro.campaign import CampaignConfig, run_campaign
 from repro.engine import run_batch
 from repro.engine.context import BatchContext
 from repro.engine.streaming import StreamingBatchContext
-from repro.fleet import DeviceRegistry, FleetMix, FleetScheduler
+from repro.fleet import DeviceRegistry, DurableFleet, FleetMix, FleetScheduler
+from repro.fleet.durability import recover_fleet, replay_records
 from repro.trng import IdealSource
 
 
@@ -217,6 +220,77 @@ class TestFleetInstrumentation:
         before = ingest_bits.value()
         scheduler.ingest(device_id, np.zeros(256, dtype=np.uint8))
         assert ingest_bits.value() - before == 256
+
+
+class TestRecoveryInstrumentation:
+    def spool_with_overlap(self, tmp_path):
+        """A spool whose retained segment replays as duplicates, plus a tail."""
+        scheduler = small_fleet(num_devices=4)
+        device_id = scheduler.registry.device_ids()[0]
+        durable = DurableFleet(scheduler, tmp_path, snapshot_interval_s=None)
+        durable.start()
+        scheduler.ingest(device_id, np.zeros(128, dtype=np.uint8), seq=0)
+        durable.checkpoint()  # seq 0 is in the snapshot and the retained segment
+        scheduler.ingest(device_id, np.ones(128, dtype=np.uint8), seq=1)
+        scheduler.run_round()
+        durable.close(final_snapshot=False)
+        scheduler.close()
+        return device_id
+
+    def test_recover_trace_names_the_layers(self, tmp_path):
+        self.spool_with_overlap(tmp_path)
+        obs.clear_traces()
+        recovered, stats = recover_fleet(tmp_path)
+        recovered.close()
+        roots = [r for r in obs.TRACER.traces() if r.name == "durability.recover"]
+        assert len(roots) == 1
+        root = roots[0]
+        names = [child.name for child in root.children]
+        assert names == ["snapshot_read", "journal_read", "replay"]
+        journal_read, replay = root.children[1], root.children[2]
+        assert journal_read.attributes == {"segments": 2}
+        # Three records: the duplicate, the tail chunk, the round marker
+        # (a barrier, so the tail chunk is its own batch).
+        assert replay.attributes == {"records": 3, "duplicates": 1, "batches": 1}
+        assert stats.duplicates == 1 and stats.applied == 1
+        assert stats.rounds_applied == 1
+        assert all(child.duration_s > 0 for child in root.children)
+        obs.clear_traces()
+
+    def test_screened_duplicates_skip_the_ingest_counters(self, tmp_path):
+        device_id = self.spool_with_overlap(tmp_path)
+        ingest_bits = metric("repro_fleet_ingest_bits_total")
+        rejected = metric("repro_fleet_ingest_rejected_total")
+        replayed = metric("repro_durability_wal_replayed_total")
+        recovered, _ = recover_fleet(tmp_path)
+        before = (
+            ingest_bits.value(),
+            rejected.value(reason="duplicate"),
+            replayed.value(outcome="duplicate"),
+            replayed.value(outcome="applied"),
+        )
+        # The snapshot's chunk again, a new chunk, then a re-delivery of the
+        # new chunk after a barrier: both duplicates are screened by seq
+        # before any decode (their empty payloads are never read).
+        fresh = base64.b64encode(bytes(16)).decode("ascii")
+        replay_records(recovered, [
+            {"t": "ingest", "device": device_id, "seq": 0, "nbits": 128, "bits": ""},
+            {"t": "ingest", "device": device_id, "seq": 2, "nbits": 128, "bits": fresh},
+            {"t": "round", "index": 0},
+            {"t": "ingest", "device": device_id, "seq": 2, "nbits": 128, "bits": ""},
+        ])
+        after = (
+            ingest_bits.value(),
+            rejected.value(reason="duplicate"),
+            replayed.value(outcome="duplicate"),
+            replayed.value(outcome="applied"),
+        )
+        # The replay ledger counts the duplicates; the ingest counters only
+        # see the applied chunk.
+        assert [a - b for a, b in zip(after, before)] == [128, 0, 2, 1]
+        assert recovered.last_ingest_seq(device_id) == 2
+        assert "replay ledger" in ingest_bits.help and "replay ledger" in rejected.help
+        recovered.close()
 
 
 class TestCampaignInstrumentation:
