@@ -8,9 +8,10 @@ batch on the packed 64-bits-per-word kernels, a :class:`SequenceContext` is
 one sequence's row view of a batch, the :class:`TestRegistry` puts the NIST,
 FIPS and hardware-model tests behind one ``run(context) -> TestResult``
 interface, and :func:`run_batch` executes any test selection over any
-number of equal-length sequences in process — the cheap tests per sequence
-on the shared statistics, the five heavyweight ones through the
-batch-native kernels of :mod:`repro.engine.heavy`.
+number of equal-length sequences in process — the seven shared-statistic
+tests as array decisions over the whole batch, the five heavyweight ones
+through the batch-native kernels of :mod:`repro.engine.heavy`, the rest
+per sequence on the shared statistics.
 
 Quickstart::
 

@@ -20,22 +20,16 @@ reference implementation that re-scans the raw bits (asserted by
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Callable, Dict, Iterable, Optional, Protocol, Sequence, Tuple, Union
 
 import numpy as np
 
-import repro.obs as obs
 from repro.engine import packed as _packed
 from repro.engine.packed import PackedMatrix, pack_matrix
 from repro.nist.common import BitsLike, to_bits
 
 __all__ = ["SequenceContext", "BatchContext"]
-
-_KERNEL_CALLS = obs.counter(
-    "repro_packed_kernel_invocations_total",
-    "Packed (64-bits-per-word) kernel dispatches from BatchContext, by kernel.",
-    labels=("kernel",),
-)
 
 #: A preseeded block-statistic source: given a block length, return the
 #: ``(num_sequences, num_blocks)`` statistic array, or ``None`` to decline
@@ -323,6 +317,9 @@ class BatchContext:
         self._block_value_counts: Dict[int, np.ndarray] = {}
         self._block_sums_provider: Optional[BlockProvider] = None
         self._block_longest_provider: Optional[BlockProvider] = None
+        #: Packed-kernel dispatches of this context, by kernel (surfaced
+        #: on the ``run_batch`` span as ``kernels``).
+        self.kernel_calls: Counter[str] = Counter()
 
     @classmethod
     def from_streaming(
@@ -432,7 +429,7 @@ class BatchContext:
     def ones(self) -> np.ndarray:
         if self._ones is None:
             if self._n > 0:
-                _KERNEL_CALLS.inc(kernel="ones_count")
+                self.kernel_calls["ones_count"] += 1
                 self._ones = _packed.ones_count(self.packed())
             else:
                 self._ones = self.matrix.sum(axis=1, dtype=np.int64)
@@ -442,7 +439,7 @@ class BatchContext:
         """The final bit of every sequence (uint8, no unpack on packed input)."""
         if self._last_bits is None:
             if self._n > 0:
-                _KERNEL_CALLS.inc(kernel="last_bits")
+                self.kernel_calls["last_bits"] += 1
                 self._last_bits = _packed.last_bits(self.packed())
             else:
                 self._last_bits = self.matrix[:, -1]
@@ -451,7 +448,7 @@ class BatchContext:
     def walk_extremes(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         if self._walk_extremes is None:
             if self._n > 0:
-                _KERNEL_CALLS.inc(kernel="walk_extremes")
+                self.kernel_calls["walk_extremes"] += 1
                 self._walk_extremes = _packed.walk_extremes(self.packed())
             else:
                 zeros = np.zeros(self.num_sequences, dtype=np.int64)
@@ -461,7 +458,7 @@ class BatchContext:
     def num_runs(self) -> np.ndarray:
         if self._num_runs is None:
             if self._n > 0:
-                _KERNEL_CALLS.inc(kernel="transition_counts")
+                self.kernel_calls["transition_counts"] += 1
                 self._num_runs = _packed.transition_counts(self.packed()) + 1
             else:
                 self._num_runs = np.zeros(self.num_sequences, dtype=np.int64)
@@ -475,7 +472,7 @@ class BatchContext:
                     self._block_sums[block_length] = provided
                     return provided
             if _packed.supports_block_ones(block_length, self.n):
-                _KERNEL_CALLS.inc(kernel="block_ones")
+                self.kernel_calls["block_ones"] += 1
                 self._block_sums[block_length] = _packed.block_ones(
                     self.packed(), block_length
                 )
@@ -495,7 +492,7 @@ class BatchContext:
                     self._block_longest[block_length] = provided
                     return provided
             if _packed.supports_block_longest_one_runs(block_length, self.n):
-                _KERNEL_CALLS.inc(kernel="block_longest_one_runs")
+                self.kernel_calls["block_longest_one_runs"] += 1
                 self._block_longest[block_length] = _packed.block_longest_one_runs(
                     self.packed(), block_length
                 )
@@ -548,7 +545,7 @@ class BatchContext:
     def _cyclic_pattern_counts(self, m: int) -> np.ndarray:
         longer = [k for (k, cyclic) in self._pattern_counts if cyclic and k > m]
         if not longer:
-            _KERNEL_CALLS.inc(kernel="cyclic_pattern_counts")
+            self.kernel_calls["cyclic_pattern_counts"] += 1
             return _packed.cyclic_pattern_counts(self.packed(), m)
         counts = self._pattern_counts[(min(longer), True)]
         for _ in range(min(longer) - m):
@@ -577,7 +574,7 @@ class BatchContext:
         """
         key = (tuple(int(bit) for bit in template), block_length, num_blocks)
         if key not in self._template_counts:
-            _KERNEL_CALLS.inc(kernel="template_block_counts")
+            self.kernel_calls["template_block_counts"] += 1
             self._template_counts[key] = _packed.template_block_counts(
                 self.packed(), key[0], block_length, num_blocks
             )

@@ -18,9 +18,9 @@ from typing import (
     Callable,
     Dict,
     Iterator,
-    List,
     Optional,
     Protocol,
+    Sequence,
     Tuple,
     Union,
     runtime_checkable,
@@ -30,26 +30,26 @@ from repro.engine import heavy as _heavy
 from repro.engine.context import BatchContext, SequenceContext
 from repro.fips import battery as _fips
 from repro.nist.approximate_entropy import (
-    approximate_entropy_test_batch,
+    approximate_entropy_test_decide,
     approximate_entropy_test_from_context,
 )
 from repro.nist.block_frequency import (
-    block_frequency_test_batch,
+    block_frequency_test_decide,
     block_frequency_test_from_context,
 )
-from repro.nist.common import TestResult
-from repro.nist.cusum import cumulative_sums_test_batch, cumulative_sums_test_from_context
+from repro.nist.common import BatchDecision, TestResult
+from repro.nist.cusum import cumulative_sums_test_decide, cumulative_sums_test_from_context
 from repro.nist.dft import dft_test
-from repro.nist.frequency import frequency_test_batch, frequency_test_from_context
+from repro.nist.frequency import frequency_test_decide, frequency_test_from_context
 from repro.nist.linear_complexity import linear_complexity_test
-from repro.nist.longest_run import longest_run_test_batch, longest_run_test_from_context
+from repro.nist.longest_run import longest_run_test_decide, longest_run_test_from_context
 from repro.nist.nonoverlapping import non_overlapping_template_test_from_context
 from repro.nist.overlapping import overlapping_template_test_from_context
 from repro.nist.random_excursions import random_excursions_test
 from repro.nist.random_excursions_variant import random_excursions_variant_test
 from repro.nist.rank import binary_matrix_rank_test
-from repro.nist.runs import runs_test_batch, runs_test_from_context
-from repro.nist.serial import serial_test_batch, serial_test_from_context
+from repro.nist.runs import runs_test_decide, runs_test_from_context
+from repro.nist.serial import serial_test_decide, serial_test_from_context
 from repro.nist.suite import NIST_TEST_NAMES
 from repro.nist.universal import universal_test
 
@@ -66,6 +66,10 @@ __all__ = [
 #: Anything that resolves to a registered test: a test object, a canonical
 #: id or alias string, or a NIST test number.
 TestSpec = Union["RegisteredTest", str, int]
+
+#: What a batch runner returns: the columnar decision of the seven
+#: shared-statistic tests, or one result per sequence (the heavy kernels).
+BatchOutcome = Union[BatchDecision, Sequence[TestResult]]
 
 
 @runtime_checkable
@@ -96,25 +100,25 @@ class RegisteredTest:
     aliases:
         Alternative lookup keys (the NIST number, its string form, ...).
     batch_runner:
-        Optional batch-native entry point
-        ``batch_runner(batch, **params) -> List[TestResult]`` evaluating the
-        whole :class:`~repro.engine.context.BatchContext` at once (one
-        result per sequence, bit-identical to ``runner``; rows with equal
-        statistics may share one result object).  May raise
-        :class:`~repro.engine.heavy.BatchFallback` for parameters outside
-        its fast path.
+        Optional batch-native entry point ``batch_runner(batch, **params)``
+        evaluating the whole :class:`~repro.engine.context.BatchContext`
+        at once, bit-identical to ``runner`` row for row: a columnar
+        :class:`~repro.nist.common.BatchDecision` (the shared-statistic
+        tests) or one :class:`TestResult` per sequence (the heavy kernels).
+        May raise :class:`~repro.engine.heavy.BatchFallback` for parameters
+        outside its fast path.
     """
 
     id: str
     name: str
     runner: Callable[..., TestResult]
     aliases: Tuple[TestSpec, ...] = ()
-    batch_runner: Optional[Callable[..., List[TestResult]]] = None
+    batch_runner: Optional[Callable[..., BatchOutcome]] = None
 
     def run(self, context: SequenceContext, **params) -> TestResult:
         return self.runner(context, **params)
 
-    def run_batch(self, batch: BatchContext, **params) -> List[TestResult]:
+    def run_batch(self, batch: BatchContext, **params) -> BatchOutcome:
         """Evaluate the whole batch at once (batch-native tests only)."""
         if self.batch_runner is None:
             raise ValueError(f"test {self.id!r} has no batch-native runner")
@@ -188,6 +192,22 @@ NIST_NUMBER_TO_ID: Dict[int, str] = {
     14: "nist.random_excursions",
     15: "nist.random_excursions_variant",
 }
+
+
+def _array_decision(decide: Callable[..., BatchDecision]) -> Callable[..., BatchDecision]:
+    """Decline one-row batches, which the executor then runs inline.
+
+    On one row the scalar helper costs less than the array set-up (a
+    single-sequence ingest, live or replayed, is a one-row batch), and it is
+    the parity reference, so the result is the same either way.
+    """
+
+    def batch_runner(batch: BatchContext, **params) -> BatchDecision:
+        if batch.num_sequences == 1:
+            raise _heavy.BatchFallback("one row decides through the scalar helper")
+        return decide(batch, **params)
+
+    return batch_runner
 
 
 def _reference_runner(reference: Callable[..., TestResult]) -> Callable[..., TestResult]:
@@ -276,22 +296,23 @@ def build_default_registry() -> TestRegistry:
         14: _reference_runner(random_excursions_test),
         15: _reference_runner(random_excursions_variant_test),
     }
-    # The seven shared-statistic tests decide once per distinct integer
-    # statistic; the five heavyweight tests run batch-native kernels.  The
-    # scalar runner stays the per-sequence reference and the route for
-    # BatchFallback geometries; the template tests stay inline.
-    batch_runners: Dict[int, Callable[..., List[TestResult]]] = {
-        1: frequency_test_batch,
-        2: block_frequency_test_batch,
-        3: runs_test_batch,
-        4: longest_run_test_batch,
+    # The seven shared-statistic tests decide over whole arrays of integer
+    # statistics (one-row batches excepted); the five heavyweight tests run
+    # batch-native kernels.  The scalar runner stays the per-sequence
+    # reference and the route for BatchFallback; the template tests stay
+    # inline.
+    batch_runners: Dict[int, Callable[..., BatchOutcome]] = {
+        1: _array_decision(frequency_test_decide),
+        2: _array_decision(block_frequency_test_decide),
+        3: _array_decision(runs_test_decide),
+        4: _array_decision(longest_run_test_decide),
         5: _heavy.batch_rank,
         6: _heavy.batch_dft,
         9: _heavy.batch_universal,
         10: _heavy.batch_linear_complexity,
-        11: serial_test_batch,
-        12: approximate_entropy_test_batch,
-        13: cumulative_sums_test_batch,
+        11: _array_decision(serial_test_decide),
+        12: _array_decision(approximate_entropy_test_decide),
+        13: _array_decision(cumulative_sums_test_decide),
         14: _heavy.batch_random_excursions,
         15: _heavy.batch_random_excursions_variant,
     }

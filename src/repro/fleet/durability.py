@@ -57,6 +57,7 @@ import re
 import threading
 import zlib
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
@@ -296,14 +297,18 @@ class IngestJournal:
         chunk costs ~bits/6 bytes on disk instead of one byte per bit.
         """
         arr = np.ascontiguousarray(bits, dtype=np.uint8)
-        self._append(
-            {
-                "t": "ingest",
-                "device": device_id,
-                "seq": seq,
-                "nbits": int(arr.size),
-                "bits": base64.b64encode(pack_bits(arr).tobytes()).decode("ascii"),
-            }
+        # The bytes json.dumps writes for {"t", "device", "seq", "nbits",
+        # "bits"}, formatted directly: this record is on every ingest.
+        seq_json = b"%d" % seq if type(seq) is int else json.dumps(seq).encode("ascii")
+        self._write(
+            b'{"t":"ingest","device":%s,"seq":%s,"nbits":%d,"bits":"%s"}'
+            % (
+                encode_basestring_ascii(device_id).encode("ascii"),
+                seq_json,
+                arr.size,
+                base64.b64encode(pack_bits(arr).tobytes()),
+            ),
+            "ingest",
         )
 
     def append_device(
@@ -322,7 +327,9 @@ class IngestJournal:
         self._append({"t": "round", "index": int(index)})
 
     def _append(self, record: Dict[str, Any]) -> None:
-        line = json.dumps(record, separators=(",", ":")).encode("utf-8")
+        self._write(json.dumps(record, separators=(",", ":")).encode("utf-8"), str(record["t"]))
+
+    def _write(self, line: bytes, kind: str) -> None:
         frame = b"%08x " % zlib.crc32(line) + line + b"\n"
         with self._lock:
             if self._closed:
@@ -331,7 +338,7 @@ class IngestJournal:
             self._handle.write(frame)
             if self.fsync:
                 os.fsync(self._handle.fileno())
-        _WAL_RECORDS.inc(type=str(record["t"]))
+        _WAL_RECORDS.inc(type=kind)
 
     def close(self) -> None:
         with self._lock:

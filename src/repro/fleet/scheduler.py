@@ -8,10 +8,14 @@ stacks the fleet into a single ``(num_devices, n)`` uint8 matrix and pushes
 it through :func:`repro.engine.batch.run_batch`, whose
 :class:`~repro.engine.context.BatchContext` computes the shared statistics
 of the design's test subset in single vectorised 2-D passes over the whole
-fleet.  The per-device verdicts then fold back into each device's
-health-state machine exactly as per-device monitoring would.  Every round
-and every ingest is evaluated in this process: the round matrix is packed
-into 64-bit words once and handed to the engine as one batch.
+fleet.  The engine returns columnar p-values, and each test's
+``(p >= alpha).all(axis=1)`` reduces them to per-device verdicts without
+building a result object per device: passing devices share one frozen
+verdict, and only failing devices get their own.  The verdicts fold back
+into each device's health-state machine exactly as per-device monitoring
+would.  Every round and every ingest is evaluated in this process: the
+round matrix is packed into 64-bit words once and handed to the engine as
+one batch.
 
 ``benchmarks/bench_fleet.py`` pins the speedup: the multiplexed round must
 stay >= 5x faster than the naive per-device loop at a 512-device fleet.
@@ -28,7 +32,7 @@ import numpy as np
 
 import repro.obs as obs
 from repro.core.monitor import MonitorEvent
-from repro.engine.batch import EngineReport, run_batch
+from repro.engine.batch import BatchReports, run_batch
 from repro.engine.packed import PackedMatrix, pack_matrix
 from repro.engine.registry import NIST_NUMBER_TO_ID
 from repro.engine.streaming import StreamingBatchContext, StreamingContext
@@ -157,16 +161,8 @@ class FleetVerdict:
     errors: Tuple[str, ...] = ()
 
 
-def _reduce_report(report: EngineReport, alpha: float) -> FleetVerdict:
-    """Collapse one engine report to the verdict the health machine needs."""
-    failing = sorted(
-        _ID_TO_NIST_NUMBER.get(test_id, -1) for test_id in report.failing_tests(alpha)
-    )
-    return FleetVerdict(
-        passed=report.passed(alpha) and not report.errors,
-        failing_tests=tuple(failing),
-        errors=tuple(sorted(report.errors.values())),
-    )
+#: The verdict of every sequence that passed all its tests (frozen, shared).
+_PASSED = FleetVerdict(passed=True, failing_tests=())
 
 
 @dataclass
@@ -233,10 +229,30 @@ class FleetScheduler:
         self.lock = threading.RLock()
 
     # ------------------------------------------------------------- evaluation
-    def _verdicts(self, reports: List[EngineReport]) -> List[FleetVerdict]:
-        """Reduce engine reports to per-device verdicts."""
+    def _verdicts(self, reports: BatchReports) -> List[FleetVerdict]:
+        """Reduce a batch's columnar results to per-device verdicts.
+
+        One ``p >= alpha`` over every test's p-value array finds the rows
+        that failed; the passing rows share one frozen verdict, and only
+        failing rows build their failing-test tuple from the per-test pass
+        matrix.
+        """
         alpha = self.registry.alpha
-        return [_reduce_report(report, alpha) for report in reports]
+        verdicts = [_PASSED] * len(reports)
+        rejected = np.flatnonzero(reports.rejected(alpha)).tolist()
+        if not rejected:
+            return verdicts
+        passes = reports.passes(alpha)
+        numbers = [_ID_TO_NIST_NUMBER.get(test_id, -1) for test_id in reports.test_ids]
+        for row in rejected:
+            verdicts[row] = FleetVerdict(
+                passed=False,
+                failing_tests=tuple(
+                    sorted(numbers[column] for column in np.flatnonzero(~passes[row]).tolist())
+                ),
+                errors=tuple(sorted(reports[row].errors.values())),
+            )
+        return verdicts
 
     def evaluate_matrix(
         self, matrix: Union[np.ndarray, PackedMatrix]
@@ -299,11 +315,11 @@ class FleetScheduler:
                     matrix = np.empty((len(devices), n), dtype=np.uint8)
                     for row, device in enumerate(devices):
                         matrix[row] = device.source.generate_block(n)
-                with obs.span("evaluate"):
-                    if self.streaming:
-                        verdicts = self._round_stream_verdicts(matrix)
-                    else:
-                        verdicts = self.evaluate_matrix(matrix)
+                # run_batch's own span is the round's evaluation stage.
+                if self.streaming:
+                    verdicts = self._round_stream_verdicts(matrix)
+                else:
+                    verdicts = self.evaluate_matrix(matrix)
                 with obs.span("fold"):
                     failing = 0
                     transitions: Dict[Tuple[str, str], int] = {}

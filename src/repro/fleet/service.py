@@ -437,6 +437,9 @@ class _FleetRequestHandler(BaseHTTPRequestHandler):
     server_version = "repro-fleet/1.0"
     protocol_version = "HTTP/1.1"
     timeout = READ_TIMEOUT_S
+    # Headers and body go out in two sends; with Nagle on, a keep-alive
+    # client's next reply waits for the delayed ACK of the first (~40 ms).
+    disable_nagle_algorithm = True
 
     @property
     def service(self) -> FleetService:

@@ -10,15 +10,16 @@ counts.
 from __future__ import annotations
 
 import math
-from typing import List
+from typing import Dict
 
 import numpy as np
 
 from repro.nist.common import (
+    BatchDecision,
     BitsLike,
     TestResult,
-    decide_per_key,
     igamc,
+    igamc_rows,
     pattern_counts,
     phi_from_counts,
     to_bits,
@@ -27,7 +28,7 @@ from repro.nist.common import (
 __all__ = [
     "approximate_entropy_test",
     "approximate_entropy_test_from_context",
-    "approximate_entropy_test_batch",
+    "approximate_entropy_test_decide",
     "phi_statistic",
 ]
 
@@ -119,15 +120,46 @@ def approximate_entropy_test_from_context(context, m: int = 3) -> TestResult:
     )
 
 
-def approximate_entropy_test_batch(batch, m: int = 3) -> List[TestResult]:
-    """Batch entry point: one decision per distinct cyclic ``(m+1)``-bit
-    count row of a :class:`~repro.engine.context.BatchContext`, shared by
-    equal rows (the ``m``-bit counts are an exact fold of that row)."""
+def _phi_rows(counts: np.ndarray, n: int) -> np.ndarray:
+    """:func:`~repro.nist.common.phi_from_counts` per row, bit for bit.
+
+    The scalar route sums a row's nonzero terms as one 1-D array, and
+    numpy's pairwise summation groups terms by that array's length.  So the
+    rows with the same number ``L`` of nonzero counts are summed together
+    as one contiguous ``(rows, L)`` matrix of their nonzero counts, in
+    their original order (a boolean mask reads them row by row): each row
+    then reduces exactly as its scalar 1-D array does.  (Summing the
+    zero-padded rows instead changes the grouping, and the last bits, of
+    short rows.)
+    """
+    lengths = np.count_nonzero(counts, axis=1)
+    phi = np.empty(counts.shape[0])
+    for length in set(lengths.tolist()):
+        rows = lengths == length
+        group = counts[rows]
+        proportions = group[group > 0].reshape(group.shape[0], length) / n
+        phi[rows] = np.sum(proportions * np.log(proportions), axis=1)
+    return phi
+
+
+def approximate_entropy_test_decide(batch, m: int = 3) -> BatchDecision:
+    """Batch entry point: :func:`_apen_result`'s arithmetic over the cyclic
+    pattern counts of a whole :class:`~repro.engine.context.BatchContext`."""
     n = batch.n
     _validate(n, m)
     # The longer counts first, so the m-bit counts fold from them.
     counts_m1 = batch.pattern_counts(m + 1, cyclic=True)
     counts_m = batch.pattern_counts(m, cyclic=True)
-    return decide_per_key(
-        counts_m1, lambda row: _apen_result(n, m, counts_m[row], counts_m1[row])
+    apen = _phi_rows(counts_m, n) - _phi_rows(counts_m1, n)
+    chi_squared = 2.0 * n * (math.log(2.0) - apen)
+    # max(chi_squared, 0.0) of the scalar route, NaN and -0.0 included.
+    chi_squared = np.where(chi_squared < 0.0, 0.0, chi_squared)
+    errors: Dict[int, str] = {}
+    p_values = igamc_rows(2 ** (m - 1), chi_squared / 2.0, errors)
+    return BatchDecision(
+        p_values[:, None],
+        chi_squared,
+        (counts_m, counts_m1),
+        lambda *rows: _apen_result(n, m, *rows),
+        errors,
     )

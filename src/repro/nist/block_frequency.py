@@ -6,16 +6,24 @@ checks whether the proportion of ones within each block is close to 1/2.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict
 
 import numpy as np
 
-from repro.nist.common import BitsLike, TestResult, chunk, decide_per_key, igamc, to_bits
+from repro.nist.common import (
+    BatchDecision,
+    BitsLike,
+    TestResult,
+    chunk,
+    igamc,
+    igamc_rows,
+    to_bits,
+)
 
 __all__ = [
     "block_frequency_test",
     "block_frequency_test_from_context",
-    "block_frequency_test_batch",
+    "block_frequency_test_decide",
 ]
 
 
@@ -80,10 +88,22 @@ def block_frequency_test_from_context(context, block_length: int = 128) -> TestR
     return _block_frequency_result(context.n, block_length, context.block_sums(block_length))
 
 
-def block_frequency_test_batch(batch, block_length: int = 128) -> List[TestResult]:
-    """Batch entry point: one decision per distinct block-sums row of a
-    :class:`~repro.engine.context.BatchContext`, shared by equal rows."""
+def block_frequency_test_decide(batch, block_length: int = 128) -> BatchDecision:
+    """Batch entry point: :func:`_block_frequency_result`'s arithmetic over
+    the block-sums rows of a whole
+    :class:`~repro.engine.context.BatchContext` (each row's χ² sum runs
+    over one contiguous row, the order the scalar 1-D sum uses)."""
     n = batch.n
     _validate(n, block_length)
     sums = batch.block_sums(block_length)
-    return decide_per_key(sums, lambda row: _block_frequency_result(n, block_length, sums[row]))
+    proportions = sums / block_length
+    chi_squared = 4.0 * block_length * np.sum((proportions - 0.5) ** 2, axis=1)
+    errors: Dict[int, str] = {}
+    p_values = igamc_rows(sums.shape[1] / 2.0, chi_squared / 2.0, errors)
+    return BatchDecision(
+        p_values[:, None],
+        chi_squared,
+        (sums,),
+        lambda row_sums: _block_frequency_result(n, block_length, row_sums),
+        errors,
+    )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, TypeVar, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy import special as _special
@@ -19,6 +19,7 @@ __all__ = [
     "BitsLike",
     "BitSequence",
     "TestResult",
+    "BatchDecision",
     "to_bits",
     "pack_bits",
     "unpack_bits",
@@ -26,6 +27,7 @@ __all__ = [
     "bits_from_int",
     "bits_to_int",
     "igamc",
+    "igamc_rows",
     "erfc",
     "normal_cdf",
     "pattern_counts",
@@ -35,7 +37,6 @@ __all__ = [
     "berlekamp_massey",
     "binary_matrix_rank",
     "chunk",
-    "decide_per_key",
 ]
 
 #: Types accepted wherever a bit sequence is expected.
@@ -260,10 +261,6 @@ class TestResult:
     details:
         Test-specific intermediate values, useful for debugging and for the
         HW/SW equivalence checks.
-
-    Results returned by the engine are read-only: rows of a batch whose
-    integer statistics are equal share one result object
-    (:func:`decide_per_key`), so mutating one would change its twins.
     """
 
     #: Not a pytest test class, despite the name (prevents collection warnings).
@@ -306,6 +303,18 @@ def igamc(a: float, x: float) -> float:
     if x < 0:
         raise ValueError("x must be non-negative")
     return float(_special.gammaincc(a, x))
+
+
+def igamc_rows(a: float, x: np.ndarray, errors: Dict[int, str]) -> np.ndarray:
+    """:func:`igamc` over an array of ``x``: the same kernel and the same
+    errors.  A bad ``a`` rejects every row, so it raises; a negative ``x``
+    rejects its row alone, whose message is filed in ``errors`` (row ->
+    message; a row's first error wins)."""
+    if a <= 0:
+        raise ValueError("shape parameter a must be positive")
+    for row in np.flatnonzero(x < 0).tolist():
+        errors.setdefault(row, "x must be non-negative")
+    return _special.gammaincc(a, x)
 
 
 def erfc(x: float) -> float:
@@ -491,29 +500,40 @@ def chunk(bits: BitsLike, block_length: int, *, discard_partial: bool = True) ->
 # Batch decisions
 # ---------------------------------------------------------------------------
 
-_Decided = TypeVar("_Decided")
+class BatchDecision:
+    """Columnar outcome of one test over a batch of equal-length sequences.
 
-
-def decide_per_key(keys: np.ndarray, decide: Callable[[int], _Decided]) -> List[_Decided]:
-    """Run ``decide(row)`` once per distinct row of ``keys``; scatter back.
-
-    ``keys`` is a ``(rows, k)`` integer matrix holding the complete integer
-    input of a test's decision helper, one row per sequence, and
-    ``decide(row)`` evaluates that helper for the first row of each group.
-    The helper is a pure function of its key, so every row of a group gets
-    that row's result object — bit-identical by construction.  Rows are
-    grouped by their raw bytes in a dict, which costs less than sorting
-    them with ``np.unique(axis=0)``.  A one-row batch skips the grouping.
+    ``p_values`` is a ``(rows, k)`` float64 array and ``statistic`` a
+    ``(rows,)`` array, each evaluated by the same float expressions, in the
+    same order, as the test's scalar decision helper; ``keys`` are the
+    integer arrays they were computed from (the hardware counters of the
+    paper), one row per sequence.  :meth:`result` rebuilds one row's
+    :class:`TestResult` from its key rows with that scalar helper
+    (``rebuild(*key_rows)``), so its details are exactly the scalar
+    route's.  ``errors`` maps each row the scalar route rejects to its
+    message; such a row has no result, and its p-values read ``+inf`` so
+    that verdicts count it as an error only.  A decision keeps no
+    reference to the batch it came from.
     """
-    rows = keys.shape[0]
-    if rows <= 1:
-        return [decide(row) for row in range(rows)]
-    keys = np.ascontiguousarray(keys, dtype=np.int64)
-    row_bytes = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel().tolist()
-    decided: Dict[bytes, _Decided] = {}
-    results = []
-    for row, key in enumerate(row_bytes):
-        if key not in decided:
-            decided[key] = decide(row)
-        results.append(decided[key])
-    return results
+
+    __slots__ = ("p_values", "statistic", "keys", "errors", "_rebuild")
+
+    def __init__(
+        self,
+        p_values: np.ndarray,
+        statistic: np.ndarray,
+        keys: Tuple[np.ndarray, ...],
+        rebuild: Callable[..., TestResult],
+        errors: Optional[Dict[int, str]] = None,
+    ):
+        self.errors = errors or {}
+        if self.errors:
+            p_values[list(self.errors)] = np.inf
+        self.p_values = p_values
+        self.statistic = statistic
+        self.keys = keys
+        self._rebuild = rebuild
+
+    def result(self, row: int) -> TestResult:
+        """The row's :class:`TestResult`, rebuilt from its key rows."""
+        return self._rebuild(*[key[row] for key in self.keys])

@@ -10,17 +10,16 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import List
 
 import numpy as np
 from scipy import special as _special
 
-from repro.nist.common import BitsLike, TestResult, decide_per_key, to_bits
+from repro.nist.common import BatchDecision, BitsLike, TestResult, to_bits
 
 __all__ = [
     "cumulative_sums_test",
     "cumulative_sums_test_from_context",
-    "cumulative_sums_test_batch",
+    "cumulative_sums_test_decide",
     "cusum_p_value",
     "random_walk_extremes",
 ]
@@ -125,17 +124,25 @@ def cumulative_sums_test_from_context(context, mode: int = 0) -> TestResult:
     return _cusum_result(context.n, mode, *context.walk_extremes())
 
 
-def cumulative_sums_test_batch(batch, mode: int = 0) -> List[TestResult]:
-    """Batch entry point: one decision per distinct ``(S_max, S_min,
-    S_final)`` triple of a :class:`~repro.engine.context.BatchContext`,
-    shared by equal rows.  The key is the whole triple, not the excursion
-    ``z``, because the result's details carry all three values."""
+def cumulative_sums_test_decide(batch, mode: int = 0) -> BatchDecision:
+    """Batch entry point: the excursion ``z`` of every row of a
+    :class:`~repro.engine.context.BatchContext` at once, and
+    :func:`cusum_p_value` once per distinct ``z``.  The keys are the whole
+    ``(S_max, S_min, S_final)`` triple, which the result's details carry."""
     n = batch.n
     _validate(n, mode)
     s_max, s_min, s_final = batch.walk_extremes()
-    return decide_per_key(
-        np.column_stack((s_max, s_min, s_final)),
-        lambda row: _cusum_result(n, mode, int(s_max[row]), int(s_min[row]), int(s_final[row])),
+    if mode == 0:
+        z = np.maximum(np.abs(s_max), np.abs(s_min))
+    else:
+        z = np.maximum(s_final - s_min, s_max - s_final)
+    excursions = z.tolist()
+    p_value = {value: cusum_p_value(value, n) for value in set(excursions)}
+    return BatchDecision(
+        np.array([p_value[value] for value in excursions]).reshape(-1, 1),
+        z.astype(np.float64),
+        (s_max, s_min, s_final),
+        lambda *rows: _cusum_result(n, mode, *[int(value) for value in rows]),
     )
 
 

@@ -8,11 +8,13 @@ recommends running it first since all subsequent tests presume it passes.
 from __future__ import annotations
 
 import math
-from typing import List
 
-from repro.nist.common import BitsLike, TestResult, decide_per_key, erfc, to_bits
+import numpy as np
+from scipy import special as _special
 
-__all__ = ["frequency_test", "frequency_test_from_context", "frequency_test_batch"]
+from repro.nist.common import BatchDecision, BitsLike, TestResult, erfc, to_bits
+
+__all__ = ["frequency_test", "frequency_test_from_context", "frequency_test_decide"]
 
 
 def _frequency_result(n: int, ones: int) -> TestResult:
@@ -66,11 +68,15 @@ def frequency_test_from_context(context) -> TestResult:
     return _frequency_result(context.n, context.ones)
 
 
-def frequency_test_batch(batch) -> List[TestResult]:
-    """Batch entry point: one decision per distinct ones count of a
-    :class:`~repro.engine.context.BatchContext`, shared by equal rows."""
+def frequency_test_decide(batch) -> BatchDecision:
+    """Batch entry point: :func:`_frequency_result`'s arithmetic over the
+    ones counts of a whole :class:`~repro.engine.context.BatchContext`."""
     n = batch.n
     if n == 0:
         raise ValueError("frequency test requires a non-empty sequence")
     ones = batch.ones()
-    return decide_per_key(ones[:, None], lambda row: _frequency_result(n, int(ones[row])))
+    s_obs = np.abs(2 * ones - n) / math.sqrt(n)
+    p_values = _special.erfc(s_obs / math.sqrt(2.0))
+    return BatchDecision(
+        p_values[:, None], s_obs, (ones,), lambda row_ones: _frequency_result(n, int(row_ones))
+    )

@@ -11,12 +11,20 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.nist.common import BitsLike, TestResult, chunk, decide_per_key, igamc, to_bits
+from repro.nist.common import (
+    BatchDecision,
+    BitsLike,
+    TestResult,
+    chunk,
+    igamc,
+    igamc_rows,
+    to_bits,
+)
 
 __all__ = [
     "longest_run_test",
     "longest_run_test_from_context",
-    "longest_run_test_batch",
+    "longest_run_test_decide",
     "longest_run_of_ones",
     "LONGEST_RUN_TABLES",
     "category_index",
@@ -156,17 +164,26 @@ def longest_run_test_from_context(context, block_length: int | None = None) -> T
     return _longest_run_result(n, block_length, categories)
 
 
-def longest_run_test_batch(batch, block_length: int | None = None) -> List[TestResult]:
+def longest_run_test_decide(batch, block_length: int | None = None) -> BatchDecision:
     """Batch entry point: the category histograms of every row of a
-    :class:`~repro.engine.context.BatchContext` come from one flat bincount,
-    and each distinct histogram is decided once, shared by equal rows."""
+    :class:`~repro.engine.context.BatchContext` come from one flat
+    bincount, and :func:`_longest_run_result`'s χ² arithmetic runs over all
+    of them at once."""
     n = batch.n
     if block_length is None:
         block_length = recommended_block_length(n)
     _validate_block_length(n, block_length)
-    k, v_values, _pi = LONGEST_RUN_TABLES[block_length]
+    k, v_values, pi = LONGEST_RUN_TABLES[block_length]
     indices = np.clip(batch.block_longest_one_runs(block_length) - v_values[0], 0, k)
     categories = batch.bincount_rows(indices, k + 1)
-    return decide_per_key(
-        categories, lambda row: _longest_run_result(n, block_length, categories[row])
+    expected = (n // block_length) * np.array(pi)
+    chi_squared = np.sum((categories - expected) ** 2 / expected, axis=1)
+    errors: Dict[int, str] = {}
+    p_values = igamc_rows(k / 2.0, chi_squared / 2.0, errors)
+    return BatchDecision(
+        p_values[:, None],
+        chi_squared,
+        (categories,),
+        lambda row_categories: _longest_run_result(n, block_length, row_categories),
+        errors,
     )

@@ -8,13 +8,13 @@ given the observed proportion of ones.
 from __future__ import annotations
 
 import math
-from typing import List
 
 import numpy as np
+from scipy import special as _special
 
-from repro.nist.common import BitsLike, TestResult, decide_per_key, erfc, to_bits
+from repro.nist.common import BatchDecision, BitsLike, TestResult, erfc, to_bits
 
-__all__ = ["runs_test", "runs_test_from_context", "runs_test_batch", "count_runs"]
+__all__ = ["runs_test", "runs_test_from_context", "runs_test_decide", "count_runs"]
 
 
 def _runs_result(n: int, ones: int, v_obs: int) -> TestResult:
@@ -82,14 +82,27 @@ def runs_test_from_context(context) -> TestResult:
     return _runs_result(context.n, context.ones, context.num_runs())
 
 
-def runs_test_batch(batch) -> List[TestResult]:
-    """Batch entry point: one decision per distinct ``(ones, runs)`` pair of
-    a :class:`~repro.engine.context.BatchContext`, shared by equal rows."""
+def runs_test_decide(batch) -> BatchDecision:
+    """Batch entry point: :func:`_runs_result`'s arithmetic over the
+    ``(ones, runs)`` counts of a whole
+    :class:`~repro.engine.context.BatchContext`."""
     n = batch.n
     if n == 0:
         raise ValueError("runs test requires a non-empty sequence")
     ones, num_runs = batch.ones(), batch.num_runs()
-    return decide_per_key(
-        np.column_stack((ones, num_runs)),
-        lambda row: _runs_result(n, int(ones[row]), int(num_runs[row])),
+    pi = ones / n
+    tau = 2.0 / math.sqrt(n)
+    numerator = np.abs(num_runs - 2.0 * n * pi * (1.0 - pi))
+    denominator = 2.0 * math.sqrt(2.0 * n) * pi * (1.0 - pi)
+    decided = (np.abs(pi - 0.5) < tau) & (denominator > 0)
+    statistic = np.full(pi.shape, np.inf)
+    np.divide(numerator, denominator, out=statistic, where=decided)
+    p_values = np.zeros(pi.shape)
+    decided &= np.isfinite(statistic)
+    p_values[decided] = _special.erfc(statistic[decided])
+    return BatchDecision(
+        p_values[:, None],
+        statistic,
+        (ones, num_runs),
+        lambda row_ones, row_runs: _runs_result(n, int(row_ones), int(row_runs)),
     )

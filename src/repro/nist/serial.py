@@ -9,21 +9,22 @@ with critical values.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict
 
 import numpy as np
 
 from repro.nist.common import (
+    BatchDecision,
     BitsLike,
     TestResult,
-    decide_per_key,
     igamc,
+    igamc_rows,
     pattern_counts,
     psi_squared_from_counts,
     to_bits,
 )
 
-__all__ = ["serial_test", "serial_test_from_context", "serial_test_batch"]
+__all__ = ["serial_test", "serial_test_from_context", "serial_test_decide"]
 
 
 def _validate(n: int, m: int) -> None:
@@ -112,17 +113,38 @@ def serial_test_from_context(context, m: int = 4) -> TestResult:
     )
 
 
-def serial_test_batch(batch, m: int = 4) -> List[TestResult]:
-    """Batch entry point: one decision per distinct cyclic ``m``-bit count
-    row of a :class:`~repro.engine.context.BatchContext`, shared by equal
-    rows.  The ``(m-1)``- and ``(m-2)``-bit counts are exact folds of the
-    ``m``-bit row, so that row alone is the key."""
+def _psi_squared_rows(counts: np.ndarray, n: int) -> np.ndarray:
+    """:func:`~repro.nist.common.psi_squared_from_counts` per row: the sums
+    of squared counts are exact integers in float64, so the row sums equal
+    the scalar 1-D sums whatever their order."""
+    return counts.shape[1] / n * np.sum(counts.astype(np.float64) ** 2, axis=1) - n
+
+
+def serial_test_decide(batch, m: int = 4) -> BatchDecision:
+    """Batch entry point: :func:`_serial_result`'s arithmetic over the
+    cyclic pattern counts of a whole
+    :class:`~repro.engine.context.BatchContext`."""
     n = batch.n
     _validate(n, m)
     counts_m = batch.pattern_counts(m, cyclic=True)
     counts_m1 = batch.pattern_counts(m - 1, cyclic=True)
     counts_m2 = batch.pattern_counts(m - 2, cyclic=True)
-    return decide_per_key(
-        counts_m,
-        lambda row: _serial_result(n, m, counts_m[row], counts_m1[row], counts_m2[row]),
+    psi_m = _psi_squared_rows(counts_m, n)
+    psi_m1 = _psi_squared_rows(counts_m1, n)
+    psi_m2 = _psi_squared_rows(counts_m2, n) if m > 2 else 0.0
+    del1 = psi_m - psi_m1
+    del2 = psi_m - 2.0 * psi_m1 + psi_m2
+    errors: Dict[int, str] = {}
+    p_values = np.column_stack(
+        (
+            igamc_rows(2 ** (m - 2), del1 / 2.0, errors),
+            igamc_rows(2 ** (m - 3), del2 / 2.0, errors),
+        )
+    )
+    return BatchDecision(
+        p_values,
+        del1,
+        (counts_m, counts_m1, counts_m2),
+        lambda *rows: _serial_result(n, m, *rows),
+        errors,
     )

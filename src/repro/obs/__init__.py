@@ -45,6 +45,7 @@ from repro.obs.metrics import (
 from repro.obs.tracing import (
     TRACER,
     Span,
+    clock,
     Tracer,
     clear_traces,
     export_traces,
@@ -69,6 +70,7 @@ __all__ = [
     "Span",
     "Tracer",
     "TRACER",
+    "clock",
     "span",
     "trace",
     "export_traces",

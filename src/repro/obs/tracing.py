@@ -1,8 +1,8 @@
 """Tracing spans: nested timed stages, a bounded ring of recent traces.
 
-A :class:`Span` is one timed stage of a run — ``pack`` / ``dispatch`` /
-``fold`` inside :func:`repro.engine.batch.run_batch`, ``generate`` /
-``evaluate`` / ``fold`` inside a fleet round — opened with the
+A :class:`Span` is one timed stage of a run — ``pack`` inside
+:func:`repro.engine.batch.run_batch`, ``generate`` / ``run_batch`` /
+``fold`` inside a fleet round — opened with the
 :func:`span` context manager and nested through a thread-local stack, so
 concurrent service threads and worker rounds never interleave their trees.
 
@@ -34,10 +34,13 @@ from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.obs import metrics as _metrics
 
-__all__ = ["Span", "Tracer", "TRACER", "span", "trace", "export_traces", "clear_traces"]
+__all__ = [
+    "Span", "Tracer", "TRACER", "clock", "span", "trace", "export_traces", "clear_traces",
+]
 
-#: The span clock, bound once: every span reads it twice.
-_clock = time.perf_counter
+#: The span clock, bound once: every span reads it twice.  Public as
+#: :func:`clock` for stage timings recorded as span attributes.
+_clock = clock = time.perf_counter
 
 #: Default bound of the recent-trace ring: enough to hold a whole CLI run's
 #: batch/round roots, small enough that a long-lived service stays O(1).
@@ -70,8 +73,9 @@ class Span:
         self._stack: Optional[List["Span"]] = None
 
     def __enter__(self) -> "Span":
-        if _metrics._enabled and self._tracer is not None:
-            stack = self._stack = self._tracer._stack()
+        tracer = self._tracer
+        if tracer is not None and _metrics._enabled:
+            stack = self._stack = tracer._local.stack
             if stack:
                 stack[-1].children.append(self)
             stack.append(self)
@@ -117,6 +121,13 @@ class Span:
         )
 
 
+class _SpanStack(threading.local):
+    """Each thread's stack of open spans (created empty per thread)."""
+
+    def __init__(self) -> None:
+        self.stack: List[Span] = []
+
+
 class Tracer:
     """Thread-local span stacks over a shared bounded ring of recent traces."""
 
@@ -126,14 +137,7 @@ class Tracer:
         self.capacity = capacity
         self._traces: Deque[Span] = deque(maxlen=capacity)
         self._lock = threading.Lock()
-        self._local = threading.local()
-
-    def _stack(self) -> List[Span]:
-        try:
-            return self._local.stack
-        except AttributeError:
-            stack = self._local.stack = []
-            return stack
+        self._local = _SpanStack()
 
     def _record(self, root: Span) -> None:
         with self._lock:
@@ -146,7 +150,7 @@ class Tracer:
 
     def current(self) -> Optional[Span]:
         """The innermost open span on this thread, if any."""
-        stack = self._stack()
+        stack = self._local.stack
         return stack[-1] if stack else None
 
     def traces(self) -> Tuple[Span, ...]:

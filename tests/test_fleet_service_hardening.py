@@ -7,6 +7,7 @@ caps (413), structured errors, truncated bodies, backpressure (429 +
 ingest over HTTP, and the client-side half of those contracts.
 """
 
+import http.client
 import json
 import logging
 import socket
@@ -362,6 +363,30 @@ class TestSequencedIngestOverHttp:
         )
         assert status == 400
         assert "seq must be a non-negative integer" in body["error"]
+
+
+class TestKeepAlive:
+    def test_reused_connection_does_not_stall_on_delayed_acks(self, harness):
+        """Replies go out without Nagle's wait for the ACK of the header
+        send, so a keep-alive client is not held ~40 ms per request."""
+        base, _, (host, port) = harness
+        register(base, "keepalive-dev")
+        connection = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            start = time.perf_counter()
+            for seq in range(20):
+                connection.request(
+                    "POST", "/ingest",
+                    body=json.dumps({"device_id": "keepalive-dev", "bits": GOOD_BITS, "seq": seq}),
+                    headers={"Content-Type": "application/json"},
+                )
+                response = connection.getresponse()
+                assert response.status == 200, response.read()
+                assert json.loads(response.read())["last_seq"] == seq
+            elapsed = time.perf_counter() - start
+        finally:
+            connection.close()
+        assert elapsed < 0.4, f"20 keep-alive ingests took {elapsed:.3f} s"
 
 
 class TestRegistrationValidation:

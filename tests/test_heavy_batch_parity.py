@@ -68,11 +68,7 @@ def _run_traced(sequences, **kwargs):
     obs.clear_traces()
     reports = run_batch(sequences, **kwargs)
     root = [root for root in obs.TRACER.traces() if root.name == "run_batch"][-1]
-    paths = {
-        span.attributes["test"]: span.attributes["path"]
-        for span in root.children
-        if span.name == "dispatch"
-    }
+    paths = dict(root.attributes["paths"])
     obs.clear_traces()
     return reports, paths
 

@@ -1,16 +1,23 @@
-"""Parity of the keyed batch decisions with the per-row and scalar routes.
+"""Parity of the array batch decisions with the per-row and scalar routes.
 
 Frequency, block frequency, runs, longest run, serial, approximate entropy
-and cumulative sums decide once per distinct integer statistic of a batch
-and share the result between equal rows.  Every test here checks the same
-three-way identity, field for field (name, statistic, P-values, details):
+and cumulative sums decide over whole arrays of integer statistics (their
+batch runners return a columnar ``BatchDecision``).  Every test here checks
+the same three-way identity, field for field (name, statistic, P-values,
+details):
 
-* ``run_batch`` (the keyed batch runner),
+* ``run_batch`` (the array decision, or the scalar runner for a one-row
+  batch, read through its lazy report views),
 * the per-row runner, ``RegisteredTest.run`` on ``batch.context(i)``,
 * the scalar ``repro.nist.*`` oracle on the row's bits,
 
 and that a rejected input gives the same error string on all three routes.
+The property tests also compare the raw ``p_values``/``statistic`` arrays.
 """
+
+import gc
+import math
+import weakref
 
 import numpy as np
 import pytest
@@ -20,13 +27,21 @@ from hypothesis import strategies as st
 from repro.engine import DEFAULT_REGISTRY, run_batch
 from repro.engine.context import BatchContext
 from repro.engine.registry import RegisteredTest
-from repro.nist.approximate_entropy import approximate_entropy_test
-from repro.nist.block_frequency import block_frequency_test
-from repro.nist.cusum import cumulative_sums_test, random_walk_extremes
-from repro.nist.frequency import frequency_test
-from repro.nist.longest_run import longest_run_test
-from repro.nist.runs import runs_test
-from repro.nist.serial import serial_test
+from repro.nist.common import BatchDecision
+from repro.nist.approximate_entropy import (
+    approximate_entropy_test,
+    approximate_entropy_test_decide,
+)
+from repro.nist.block_frequency import block_frequency_test, block_frequency_test_decide
+from repro.nist.cusum import (
+    cumulative_sums_test,
+    cumulative_sums_test_decide,
+    random_walk_extremes,
+)
+from repro.nist.frequency import frequency_test, frequency_test_decide
+from repro.nist.longest_run import longest_run_test, longest_run_test_decide
+from repro.nist.runs import runs_test, runs_test_decide
+from repro.nist.serial import serial_test, serial_test_decide
 
 #: The seven keyed tests and their scalar oracles.
 ORACLES = {
@@ -39,6 +54,18 @@ ORACLES = {
     "nist.cumulative_sums": cumulative_sums_test,
 }
 KEYED = tuple(ORACLES)
+#: Their array decisions, called directly: ``run_batch`` sends one-row
+#: batches to the scalar runner instead, so only these reach the arrays'
+#: one-row case.
+DECIDERS = {
+    "nist.frequency": frequency_test_decide,
+    "nist.block_frequency": block_frequency_test_decide,
+    "nist.runs": runs_test_decide,
+    "nist.longest_run": longest_run_test_decide,
+    "nist.serial": serial_test_decide,
+    "nist.approximate_entropy": approximate_entropy_test_decide,
+    "nist.cumulative_sums": cumulative_sums_test_decide,
+}
 
 #: (test, parameters) pairs: every test at its defaults plus non-default
 #: block lengths, pattern lengths and cusum modes.
@@ -64,7 +91,8 @@ def _outcome(call):
 
 
 def _routes(matrix, test_id, params):
-    """Per-row outcomes of the batched, per-row and oracle routes."""
+    """Per-row outcomes of the batched, per-row and oracle routes, plus the
+    batch's columnar decision (None when the whole batch was rejected)."""
     reports = run_batch(matrix, tests=[test_id], parameters={test_id: params})
     batched = [
         report.results[test_id] if test_id in report.results
@@ -80,17 +108,25 @@ def _routes(matrix, test_id, params):
     oracle = [
         _outcome(lambda bits=bits: ORACLES[test_id](bits, **params)) for bits in matrix
     ]
-    return batched, per_row, oracle
+    return batched, per_row, oracle, reports.decisions.get(test_id)
+
+
+def _same_float(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
 
 
 def _assert_parity(matrix, test_id, params):
-    batched, per_row, oracle = _routes(matrix, test_id, params)
+    batched, per_row, oracle, decision = _routes(matrix, test_id, params)
     assert len(batched) == len(per_row) == len(oracle) == matrix.shape[0]
     for row, (got, row_result, expected) in enumerate(zip(batched, per_row, oracle)):
         # Dataclass equality: name, statistic, p_value, p_values and the
         # whole details dict, compared with == (bit for bit).
         assert got == expected, f"{test_id} {params} row {row}: batch != oracle"
         assert row_result == expected, f"{test_id} {params} row {row}: per-row != oracle"
+        if not isinstance(expected, tuple):
+            # The arrays verdicts are read from, not just the rebuilt views.
+            assert decision.p_values[row].tolist() == expected.p_values, (test_id, params, row)
+            assert _same_float(float(decision.statistic[row]), expected.statistic)
     return batched
 
 
@@ -133,7 +169,12 @@ class TestParity:
     def test_all_identical_rows(self, test_id, params):
         matrix = np.tile(_matrix(1, 256, seed=3), (16, 1))
         results = _assert_parity(matrix, test_id, params)
-        assert all(result is results[0] for result in results)
+        assert all(result == results[0] for result in results)
+
+    def test_short_rows_leave_pattern_counts_empty(self, test_id, params):
+        # Fewer windows than patterns: zero counts, whose terms the array
+        # sums must skip exactly as the scalar sums do.
+        _assert_parity(_matrix(64, 20, seed=8), test_id, params)
 
     def test_one_row(self, test_id, params):
         _assert_parity(_matrix(1, 256, seed=4), test_id, params)
@@ -164,8 +205,8 @@ def _keys(test_id, matrix):
 
 @pytest.mark.parametrize("test_id", KEYED)
 def test_shared_keys_with_different_bits(test_id):
-    """Rows with equal keys but different bits share one result object, and
-    rows with different keys never do (the key is the complete input)."""
+    """Rows with equal keys but different bits get equal results, and rows
+    with different keys never do (the key is the complete input)."""
     base = _matrix(32, 256, seed=6, p_one=0.6)
     # A cyclic rotation keeps the ones count and the cyclic pattern counts;
     # reversing a row keeps the ones and run counts and the longest-run
@@ -181,10 +222,11 @@ def test_shared_keys_with_different_bits(test_id):
     by_key = {}
     for row, key in enumerate(keys):
         by_key.setdefault(key, []).append(row)
-    assert len({id(result) for result in results}) == len(by_key)
+    firsts = [results[rows[0]] for rows in by_key.values()]
+    assert all(a != b for i, a in enumerate(firsts) for b in firsts[i + 1:])
     shared_different_bits = 0
     for rows in by_key.values():
-        assert all(results[row] is results[rows[0]] for row in rows)
+        assert all(results[row] == results[rows[0]] for row in rows)
         if any(not np.array_equal(matrix[row], matrix[rows[0]]) for row in rows):
             shared_different_bits += 1
     if test_id != "nist.cumulative_sums":
@@ -194,7 +236,7 @@ def test_shared_keys_with_different_bits(test_id):
 @pytest.mark.parametrize("mode", [0, 1])
 def test_cusum_equal_z_different_extremes(mode):
     """Rows keyed by the whole (S_max, S_min, S_final) triple: equal triples
-    from different bits share a result, while an equal excursion z from a
+    from different bits get equal results, while an equal excursion z from a
     different triple does not (the details carry all three values)."""
     matrix = np.array([
         [1, 0, 1, 1, 0, 1, 0, 0],  # walk 1,0,1,2,1,2,1,0: (2, 0, 0)
@@ -207,7 +249,7 @@ def test_cusum_equal_z_different_extremes(mode):
     results = _assert_parity(matrix, "nist.cumulative_sums", {"mode": mode})
     assert results[0].statistic == results[1].statistic == 2.0
     assert results[0].details != results[1].details
-    assert results[0] is results[2] and results[0] is not results[1]
+    assert results[0] == results[2] and results[0] != results[1]
 
 
 def test_one_batch_call_per_test_and_no_row_calls(monkeypatch):
@@ -242,3 +284,73 @@ def test_property_random_matrices(rows, n, p_one, seed):
     matrix = _matrix(rows, n, seed, p_one)
     for test_id in KEYED:
         _assert_parity(matrix, test_id, {})
+
+
+def _row_kinds(draw_kinds, rows, n, seed):
+    """A matrix whose rows are random at a bias, or degenerate."""
+    rng = np.random.default_rng(seed)
+    matrix = np.empty((rows, n), dtype=np.uint8)
+    for row, kind in enumerate(draw_kinds):
+        if kind == "zeros":
+            matrix[row] = 0
+        elif kind == "ones":
+            matrix[row] = 1
+        elif kind == "alternating":
+            matrix[row] = np.arange(n) % 2
+        else:
+            matrix[row] = rng.random(n) < kind
+    return matrix
+
+
+ROW_KINDS = st.sampled_from([0.5, 0.5, 0.6, 0.8, 0.95, "zeros", "ones", "alternating"])
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    case=st.sampled_from(CASES),
+    n=st.sampled_from([4, 15, 100, 128, 160, 256]),
+    kinds=st.lists(ROW_KINDS, min_size=1, max_size=64),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_property_array_decisions(case, n, kinds, seed):
+    """The raw arrays and the report views equal the scalar oracle, row by
+    row, on random, biased, degenerate and too-short rows."""
+    test_id, params = case
+    matrix = _row_kinds(kinds, len(kinds), n, seed)
+    _assert_parity(matrix, test_id, params)
+    oracle = [_outcome(lambda bits=bits: ORACLES[test_id](bits, **params)) for bits in matrix]
+    decision = _outcome(lambda: DECIDERS[test_id](BatchContext(matrix), **params))
+    if isinstance(decision, tuple):
+        # Parameters or length rejected for the whole batch: every row's
+        # oracle rejects it with the same message.
+        assert all(expected == decision for expected in oracle)
+        return
+    assert isinstance(decision, BatchDecision)
+    width = 2 if test_id == "nist.serial" else 1
+    assert decision.p_values.dtype == np.float64
+    assert decision.p_values.shape == (len(kinds), width)
+    assert decision.statistic.shape == (len(kinds),)
+    for row, expected in enumerate(oracle):
+        if isinstance(expected, tuple):
+            # A row the oracle rejects alone is rejected alone.
+            assert decision.errors.get(row) == expected[1], (test_id, params, row)
+            continue
+        assert row not in decision.errors
+        assert decision.p_values[row].tolist() == expected.p_values, (test_id, params, row)
+        assert _same_float(float(decision.statistic[row]), expected.statistic)
+        assert decision.result(row) == expected
+
+
+@pytest.mark.parametrize("tests", [list(KEYED), ["nist.rank", "fips.monobit"]])
+def test_report_views_do_not_pin_the_batch(tests):
+    """The views keep result arrays and integer key rows: the batch context
+    and its bit matrices are collectable while the reports are alive."""
+    matrix = _matrix(8, 1024, seed=9)
+    batch = BatchContext(matrix)
+    refs = [weakref.ref(batch), weakref.ref(matrix), weakref.ref(batch.packed().words)]
+    reports = run_batch(batch, tests=tests)
+    expected = [dict(report.results) for report in reports]
+    del batch, matrix
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None, None]
+    assert [dict(report.results) for report in reports] == expected

@@ -17,6 +17,7 @@ from repro.engine.context import BatchContext
 from repro.engine.streaming import StreamingBatchContext
 from repro.fleet import DeviceRegistry, DurableFleet, FleetMix, FleetScheduler
 from repro.fleet.durability import recover_fleet, replay_records
+from repro.nist.common import BatchDecision
 from repro.trng import IdealSource
 
 
@@ -45,7 +46,6 @@ class TestBatchInstrumentation:
     def test_bits_and_paths_accounted(self, sequences):
         bits = metric("repro_engine_bits_evaluated_total")
         totals = metric("repro_engine_tests_total")
-        seconds = metric("repro_engine_test_seconds")
 
         def path_sum():
             return sum(
@@ -54,13 +54,18 @@ class TestBatchInstrumentation:
 
         bits_before = bits.value()
         paths_before = path_sum()
-        freq_before = seconds.count(test="nist.frequency")
+        obs.clear_traces()
         run_batch(sequences, tests=["nist.frequency", "nist.runs"])
         assert bits.value() - bits_before == sequences.size
         # Two tests over four sequences: eight per-sequence evaluations,
         # whatever path each test took.
         assert path_sum() - paths_before == 8
-        assert seconds.count(test="nist.frequency") - freq_before == 1
+        # One wall time per test, on the batch's span.
+        root = [root for root in obs.TRACER.traces() if root.name == "run_batch"][-1]
+        seconds = root.attributes["seconds"]
+        assert list(seconds) == ["nist.frequency", "nist.runs"]
+        assert all(0 <= value <= root.duration_s for value in seconds.values())
+        obs.clear_traces()
 
     def test_trace_covers_pack_dispatch_decision(self, sequences):
         obs.clear_traces()
@@ -68,28 +73,35 @@ class TestBatchInstrumentation:
         roots = [root for root in obs.TRACER.traces() if root.name == "run_batch"]
         assert roots, "run_batch recorded no root span"
         stages = roots[-1].stage_names()
-        for stage in ("run_batch", "pack", "dispatch", "fold"):
+        for stage in ("run_batch", "pack"):
             assert stage in stages
         obs.clear_traces()
 
-    def test_keyed_dispatch_counts_keys_and_one_fold_per_batch(self):
-        # Three distinct rows, each repeated: three keys per keyed test.
+    def test_batch_span_attributes(self):
+        # Array decisions: one columnar outcome per keyed test, and per-test
+        # routes and times as attributes of the batch's span, with no
+        # per-test child spans and no per-row work (no O(rows) attribute).
         rows = np.stack([IdealSource(seed=950 + i).generate(256).bits for i in range(3)])
         matrix = np.concatenate([rows, rows, rows[:1]])
         obs.clear_traces()
-        run_batch(matrix, tests=["nist.frequency", "nist.cumulative_sums", "fips.monobit"])
+        reports = run_batch(
+            matrix, tests=["nist.frequency", "nist.cumulative_sums", "fips.monobit"]
+        )
         root = [root for root in obs.TRACER.traces() if root.name == "run_batch"][-1]
-        dispatches = {
-            span.attributes["test"]: span.attributes
-            for span in root.children if span.name == "dispatch"
+        assert [span.name for span in root.children] == ["pack"]
+        assert set(root.attributes) == {"paths", "seconds", "kernels"}
+        assert root.attributes["paths"] == {
+            "nist.frequency": "batched",
+            "nist.cumulative_sums": "batched",
+            "fips.monobit": "inline",
         }
-        assert dispatches["nist.frequency"]["path"] == "batched"
-        assert dispatches["nist.frequency"]["keys"] <= 3
-        assert dispatches["nist.cumulative_sums"]["keys"] <= 3
-        assert dispatches["fips.monobit"]["path"] == "inline"
-        assert "keys" not in dispatches["fips.monobit"]
-        assert [span.name for span in root.children].count("fold") == 1
-        assert "decision" not in root.stage_names()
+        assert root.attributes["kernels"] == {"ones_count": 1, "walk_extremes": 1}
+        for test_id in ("nist.frequency", "nist.cumulative_sums"):
+            decision = reports.decisions[test_id]
+            assert isinstance(decision, BatchDecision)
+            assert decision.p_values.shape == (len(matrix), 1)
+            # Equal rows, equal keys: the arrays repeat the decision.
+            assert decision.p_values[0] == decision.p_values[3] == decision.p_values[6]
         obs.clear_traces()
 
     def test_tests_total_updated_once_per_path(self, sequences, monkeypatch):
@@ -117,28 +129,24 @@ class TestBatchInstrumentation:
 
 class TestKernelInstrumentation:
     def test_packed_kernel_dispatches_counted(self, sequences):
-        calls = metric("repro_packed_kernel_invocations_total")
-        before = calls.value(kernel="ones_count")
         ctx = BatchContext(sequences)
         ctx.ones()
-        assert calls.value(kernel="ones_count") - before == 1
+        assert ctx.kernel_calls == {"ones_count": 1}
         # Cached on the context: a second read is not a second dispatch.
         ctx.ones()
-        assert calls.value(kernel="ones_count") - before == 1
+        assert ctx.kernel_calls == {"ones_count": 1}
 
     def test_uint8_backend_does_not_touch_kernel_counters(self, sequences):
         # The uint8 (byte-per-bit) route survives only where the input has
         # no packed kernel — empty sequences, block geometries outside the
         # packed kernels, block value counts — and never counts a dispatch.
-        calls = metric("repro_packed_kernel_invocations_total")
-        before = {kernel: calls.value(kernel=kernel)
-                  for kernel in ("ones_count", "block_ones", "block_longest_one_runs")}
-        BatchContext(np.zeros((2, 0), dtype=np.uint8)).ones()
+        empty = BatchContext(np.zeros((2, 0), dtype=np.uint8))
+        empty.ones()
         ctx = BatchContext(sequences)
         ctx.block_sums(20)
         ctx.block_longest_one_runs(20)
         ctx.block_value_counts(4)
-        assert {kernel: calls.value(kernel=kernel) for kernel in before} == before
+        assert empty.kernel_calls == {} and ctx.kernel_calls == {}
 
 
 class TestStreamingInstrumentation:
@@ -203,8 +211,10 @@ class TestFleetInstrumentation:
         roots = [r for r in obs.TRACER.traces() if r.name == "fleet.run_round"]
         assert roots
         assert [child.name for child in roots[-1].children] == [
-            "generate", "evaluate", "fold",
+            "generate", "run_batch", "fold",
         ]
+        # The round's matrix arrives packed: no pack stage in the engine.
+        assert roots[-1].children[1].children == []
         obs.clear_traces()
 
     def test_round_elapsed_matches_span_even_disabled(self):
