@@ -2,13 +2,26 @@
 
 The service front-end (:mod:`repro.fleet.service`) sheds load with 429 +
 ``Retry-After`` and sequences ingests with per-device ``seq`` numbers; this
-client is the other half of those contracts.  :class:`FleetClient` wraps
-``urllib.request`` (no new dependencies) and retries transient failures —
-connection errors, timeouts, 5xx, 408 and 429 — with exponential backoff,
-honouring the server's ``Retry-After`` when it sends one and otherwise
-jittering the delay from a *seeded* generator, so a swarm of restarted
-clients never thunders back in lockstep yet every run of the chaos harness
-is reproducible.
+client is the other half of those contracts.  :class:`FleetClient` keeps one
+persistent ``http.client.HTTPConnection`` (no new dependencies) and retries
+transient failures — connection errors, timeouts, 5xx, 408 and 429 — with
+exponential backoff, honouring the server's ``Retry-After`` when it sends
+one and otherwise jittering the delay from a *seeded* generator, so a swarm
+of restarted clients never thunders back in lockstep yet every run of the
+chaos harness is reproducible.
+
+The connection is reused across requests (HTTP/1.1 keep-alive): no TCP
+handshake and no server-side connection set-up per request.  It is closed
+after a reply that says ``Connection: close`` and reopened inside the retry
+loop after a connection error.  An idle connection the server has closed
+meanwhile (its idle timeout, a restart) is noticed by a zero-timeout
+readability check before reuse and replaced without spending a retry, so a
+``retries=0`` client survives it.  A server at its connection cap answers
+503 and closes before reading the request; when that makes the send fail,
+the client still reads the waiting 503 and honours its ``Retry-After``.
+A lock serialises requests on the one connection, so a client may be
+shared across threads; :meth:`FleetClient.close` (or a ``with`` block)
+releases the socket.
 
 Because ingests carry ``seq``, a retry after an ambiguous failure (the
 request may or may not have been applied before the connection died) is
@@ -18,11 +31,13 @@ instead of double-evaluating it, and the client surfaces that as success.
 
 from __future__ import annotations
 
+import http.client
 import json
+import select
+import socket
+import threading
 import time
-import urllib.error
-import urllib.request
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -58,7 +73,7 @@ class FleetClient:
     base_url:
         Service root, e.g. ``http://127.0.0.1:8080``.
     timeout_s:
-        Per-request socket timeout.
+        Socket timeout of the connect and of every read and write.
     retries:
         Transient failures retried per request before giving up.
     backoff_s / backoff_cap_s:
@@ -83,12 +98,34 @@ class FleetClient:
     ):
         if retries < 0:
             raise ValueError("retries must be non-negative")
+        scheme, sep, rest = base_url.partition("://")
+        if not sep or scheme.lower() != "http":
+            raise ValueError(f"base_url must be an http:// URL, got {base_url!r}")
+        netloc, _, path = rest.partition("/")
         self.base_url = base_url.rstrip("/")
         self.timeout_s = timeout_s
         self.retries = retries
         self.backoff_s = backoff_s
         self.backoff_cap_s = backoff_cap_s
         self._rng = np.random.default_rng(jitter_seed)
+        path = path.strip("/")
+        self._prefix = f"/{path}" if path else ""
+        # One connection for the client's lifetime: http.client reconnects
+        # it on the next request after close(), so the object is never
+        # replaced, and every use of it happens under the lock.
+        self._lock = threading.Lock()
+        self._conn = http.client.HTTPConnection(netloc, timeout=timeout_s)
+
+    def close(self) -> None:
+        """Close the connection (the next request would open a new one)."""
+        with self._lock:
+            self._conn.close()
+
+    def __enter__(self) -> "FleetClient":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     # -------------------------------------------------------------- endpoints
     def register_device(
@@ -154,21 +191,11 @@ class FleetClient:
             headers["Content-Type"] = "application/json"
         last_error: Optional[Exception] = None
         for attempt in range(self.retries + 1):
-            request = urllib.request.Request(
-                self.base_url + path, data=data, headers=headers, method=method
-            )
             try:
-                with urllib.request.urlopen(request, timeout=self.timeout_s) as reply:
-                    return reply.read()
-            except urllib.error.HTTPError as exc:
-                status = exc.code
-                detail = self._error_message(exc)
-                if status not in _RETRYABLE_STATUSES or attempt == self.retries:
-                    raise FleetServiceError(status, detail)
-                last_error = FleetServiceError(status, detail)
-                _RETRIES.inc(reason=f"http_{status}")
-                self._sleep(attempt, self._retry_after(exc))
-            except (urllib.error.URLError, OSError) as exc:
+                status, reason, reply_headers, body = self._exchange(
+                    method, self._prefix + path, data, headers
+                )
+            except (http.client.HTTPException, OSError) as exc:
                 # Connection refused / reset / timed out: the server may be
                 # mid-restart (the chaos harness guarantees it sometimes is).
                 if attempt == self.retries:
@@ -176,21 +203,61 @@ class FleetClient:
                 last_error = exc
                 _RETRIES.inc(reason="connection")
                 self._sleep(attempt, None)
+                continue
+            if 200 <= status < 300:
+                return body
+            detail = self._error_message(body, reason)
+            if status not in _RETRYABLE_STATUSES or attempt == self.retries:
+                raise FleetServiceError(status, detail)
+            last_error = FleetServiceError(status, detail)
+            _RETRIES.inc(reason=f"http_{status}")
+            self._sleep(attempt, self._retry_after(reply_headers))
         raise FleetServiceError(503, f"service unreachable: {last_error}")
 
+    def _exchange(
+        self, method: str, path: str, data: Optional[bytes], headers: Dict[str, str]
+    ) -> Tuple[int, str, http.client.HTTPMessage, bytes]:
+        """One request/reply on the persistent connection.
+
+        ``http.client`` drops the socket itself after a reply that will
+        close; any failure mid-exchange closes it here, so the next attempt
+        reconnects.
+        """
+        with self._lock:
+            conn = self._conn
+            if conn.sock is not None and _closed_by_peer(conn.sock):
+                # The server closed the idle connection (idle timeout,
+                # restart): reconnect now rather than fail the request.
+                conn.close()
+            try:
+                try:
+                    conn.request(method, path, body=data, headers=headers)
+                except ConnectionError as exc:
+                    # A server at its connection cap answers 503 and closes
+                    # without reading the request, so the send can fail
+                    # with that reply already waiting to be read.
+                    reply = _reply_after_failed_send(conn, exc)
+                else:
+                    reply = conn.getresponse()
+                body = reply.read()
+            except BaseException:
+                conn.close()
+                raise
+            return reply.status, reply.reason, reply.headers, body
+
     @staticmethod
-    def _error_message(exc: urllib.error.HTTPError) -> str:
+    def _error_message(body: bytes, reason: str) -> str:
         try:
-            decoded = json.loads(exc.read())
-        except (json.JSONDecodeError, UnicodeDecodeError, OSError):
-            return exc.reason if isinstance(exc.reason, str) else str(exc.reason)
+            decoded = json.loads(body)
+        except (json.JSONDecodeError, UnicodeDecodeError):
+            return reason
         if isinstance(decoded, dict) and isinstance(decoded.get("error"), str):
             return decoded["error"]
         return str(decoded)
 
     @staticmethod
-    def _retry_after(exc: urllib.error.HTTPError) -> Optional[float]:
-        raw = exc.headers.get("Retry-After") if exc.headers is not None else None
+    def _retry_after(headers: http.client.HTTPMessage) -> Optional[float]:
+        raw = headers.get("Retry-After")
         if raw is None:
             return None
         try:
@@ -207,3 +274,30 @@ class FleetClient:
             delay *= 0.5 + float(self._rng.random())
         if delay > 0:
             time.sleep(delay)
+
+
+def _reply_after_failed_send(
+    conn: http.client.HTTPConnection, error: ConnectionError
+) -> http.client.HTTPResponse:
+    """The reply a server sent before it reset a request's send, else ``error``."""
+    if conn.sock is None:  # the connect itself failed: nothing to read
+        raise error
+    try:
+        return conn.getresponse()
+    except (OSError, http.client.HTTPException):
+        raise error from None
+
+
+def _closed_by_peer(sock: socket.socket) -> bool:
+    """Whether an idle keep-alive connection is unusable.
+
+    Between replies nothing may arrive, so a readable socket means the
+    server closed it (EOF) or broke the protocol; either way it must not
+    carry the next request.  A socket ``select`` cannot watch counts as
+    unusable too: reconnecting is always safe.
+    """
+    try:
+        readable, _, _ = select.select([sock], [], [], 0)
+    except (OSError, ValueError):
+        return True
+    return bool(readable)

@@ -295,6 +295,9 @@ class IngestJournal:
 
         Bits travel packed (8 per byte) and base64-framed: a journaled
         chunk costs ~bits/6 bytes on disk instead of one byte per bit.
+        ``bits`` must already be validated 0/1 values (as
+        :func:`~repro.nist.common.to_bits` returns them): the record packs
+        them as they are, without checking them again.
         """
         arr = np.ascontiguousarray(bits, dtype=np.uint8)
         # The bytes json.dumps writes for {"t", "device", "seq", "nbits",
@@ -306,7 +309,7 @@ class IngestJournal:
                 encode_basestring_ascii(device_id).encode("ascii"),
                 seq_json,
                 arr.size,
-                base64.b64encode(pack_bits(arr).tobytes()),
+                base64.b64encode(pack_bits(arr, validated=True).tobytes()),
             ),
             "ingest",
         )

@@ -35,15 +35,23 @@ logger — one INFO line per request with method, path, status and latency —
 instead of ``http.server``'s raw stderr lines (the CLI's ``fleet serve``
 wires a handler; ``--quiet`` drops it to warnings only).
 
-The server is a :class:`~http.server.ThreadingHTTPServer` (daemon threads,
-one per connection).  Every socket read and write times out after
-:data:`READ_TIMEOUT_S` — a stalled body is answered with 408 — and a
-connection that dies outside a response is logged as one WARNING line and
-counted, never printed as a traceback.  Lock holds are bounded: requests
-take the scheduler's re-entrant lock — the same lock
-:meth:`~repro.fleet.scheduler.FleetScheduler.run_round` holds — only around
-the registry/health mutations and snapshots, never around engine evaluation
-or response serialisation.  A slow ``GET /fleet/summary`` (large fleet, slow
+Connections are HTTP/1.1 keep-alive and are served by a bounded pool of
+daemon connection workers: at most :data:`MAX_CONNECTIONS` at once (the
+``max_connections`` argument of :func:`serve`), each worker serving one
+connection until it closes.  A connection accepted while every worker is
+busy is answered ``503`` with ``Retry-After`` and ``Connection: close`` and
+closed, so hostile or idle clients cannot grow the server's threads without
+bound.  Every socket read and write times out after :data:`READ_TIMEOUT_S`
+— an idle keep-alive connection is closed, a stalled body is answered with
+408 — and a connection that dies outside a response is logged as one
+WARNING line and counted, never printed as a traceback.  Each reply goes
+out in one send (headers and body together), and every reply after which
+the server closes the connection says ``Connection: close``.
+
+Lock holds are bounded: requests take the scheduler's re-entrant lock — the
+same lock :meth:`~repro.fleet.scheduler.FleetScheduler.run_round` holds —
+only around the registry/health mutations and snapshots, never around engine
+evaluation or response serialisation.  A slow ``GET /fleet/summary`` (large fleet, slow
 client) therefore no longer blocks a concurrent ``POST /ingest`` on another
 connection, and vice versa (pinned by the two-connection e2e test in
 ``tests/test_fleet_service.py``).
@@ -53,11 +61,13 @@ from __future__ import annotations
 
 import json
 import logging
+import queue
 import re
+import socket
 import sys
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, Optional, Sequence, Tuple
+from http.server import BaseHTTPRequestHandler, HTTPServer
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Type
 from urllib.parse import unquote, urlsplit
 
 import repro.obs as obs
@@ -101,6 +111,14 @@ _CONNECTION_ERRORS = obs.counter(
     "Connections dropped on an error outside any request's response, by type.",
     labels=("error",),
 )
+_CONNECTIONS_OPEN = obs.gauge(
+    "repro_service_connections_open",
+    "Connections currently held by a fleet-service connection worker.",
+)
+_CONNECTIONS_REJECTED = obs.counter(
+    "repro_service_connections_rejected_total",
+    "Connections answered 503 and closed because every connection worker was busy.",
+)
 
 #: Known route templates, so the request counter's cardinality stays fixed
 #: no matter what paths clients probe.
@@ -125,8 +143,12 @@ def _route_label(path: str) -> str:
 #: Seconds one socket read or write may stall before the server gives up on
 #: the connection: a request line or headers stalled that long close it, a
 #: stalled body gets 408.  Bounds how long a slow or dead client holds a
-#: server thread.
+#: server thread; an idle keep-alive connection closes after it too.
 READ_TIMEOUT_S = 10.0
+
+#: Connection workers of one server: the most connections served at once.
+#: A connection beyond it gets 503 + ``Retry-After`` and is closed.
+MAX_CONNECTIONS = 64
 
 #: Cap on accepted request bodies (a 2^20-bit design ingest is ~1 MiB of
 #: ASCII bits; anything far beyond that is a client error, not traffic).
@@ -437,8 +459,9 @@ class _FleetRequestHandler(BaseHTTPRequestHandler):
     server_version = "repro-fleet/1.0"
     protocol_version = "HTTP/1.1"
     timeout = READ_TIMEOUT_S
-    # Headers and body go out in two sends; with Nagle on, a keep-alive
-    # client's next reply waits for the delayed ACK of the first (~40 ms).
+    # http.server's own error replies (send_error) still go out in two
+    # sends; with Nagle on, a keep-alive client would wait for the delayed
+    # ACK of the first (~40 ms).
     disable_nagle_algorithm = True
 
     @property
@@ -457,8 +480,17 @@ class _FleetRequestHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for name, value in extra_headers:
             self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        if self.close_connection:
+            # A keep-alive client must learn from the reply, not from a
+            # broken pipe on its next request, that this socket is done.
+            self.send_header("Connection", "close")
+        # The header lines are buffered (none for an HTTP/0.9 request);
+        # write them, the blank line and the body in one send.
+        head = getattr(self, "_headers_buffer", [])
+        self._headers_buffer: List[bytes] = []
+        if head:
+            head.append(b"\r\n")
+        self.wfile.write(b"".join([*head, body]))
 
     def _read_json(self) -> Dict[str, object]:
         try:
@@ -558,11 +590,115 @@ class _FleetRequestHandler(BaseHTTPRequestHandler):
         logger.debug(format, *args)
 
 
-class _FleetHTTPServer(ThreadingHTTPServer):
-    """One daemon thread per connection; connection errors become one log
-    line and a counter instead of a traceback on stderr."""
+class _FleetHTTPServer(HTTPServer):
+    """An HTTP server whose connections are served by a bounded worker pool.
 
-    daemon_threads = True
+    The accept loop hands each connection to an idle daemon worker, starting
+    a new one while fewer than ``max_connections`` exist; a worker serves
+    its connection until it closes, then waits for the next.  With every
+    worker busy, the accept loop answers 503 itself and closes the
+    connection.  Connection errors become one log line and a counter
+    instead of a traceback on stderr.
+    """
+
+    # socketserver's default listen backlog of 5 drops the SYNs of a burst
+    # of connects (each client then stalls ~1 s to retransmit) even though
+    # the accept loop admits or rejects each connection at once.
+    request_queue_size = socket.SOMAXCONN
+
+    def __init__(
+        self,
+        address: Tuple[str, int],
+        handler: Type[BaseHTTPRequestHandler],
+        max_connections: int,
+    ):
+        if max_connections <= 0:
+            raise ValueError("max_connections must be positive")
+        super().__init__(address, handler)
+        self.max_connections = max_connections
+        self._pool_lock = threading.Lock()
+        self._workers = 0
+        self._open: Set[socket.socket] = set()
+        self._handoff: "queue.SimpleQueue[Optional[Tuple[socket.socket, Tuple[str, int]]]]" = (
+            queue.SimpleQueue()
+        )
+
+    def process_request(  # type: ignore[override]
+        self, request: socket.socket, client_address: Tuple[str, int]
+    ) -> None:
+        with self._pool_lock:
+            admitted = len(self._open) < self.max_connections
+            if admitted:
+                self._open.add(request)
+                if self._workers < len(self._open):
+                    threading.Thread(
+                        target=self._serve_connections,
+                        name=f"fleet-connection-{self.server_address[1]}-{self._workers}",
+                        daemon=True,
+                    ).start()
+                    self._workers += 1
+        if not admitted:
+            self._reject(request)
+            return
+        _CONNECTIONS_OPEN.add(1.0)
+        self._handoff.put((request, client_address))
+
+    def _serve_connections(self) -> None:
+        """One worker: serve handed-off connections until the None sentinel."""
+        while True:
+            item = self._handoff.get()
+            if item is None:
+                return
+            request, client_address = item
+            try:
+                self.finish_request(request, client_address)
+            except Exception:
+                self.handle_error(request, client_address)
+            finally:
+                self.shutdown_request(request)
+                with self._pool_lock:
+                    self._open.discard(request)
+                _CONNECTIONS_OPEN.add(-1.0)
+
+    def _reject(self, request: socket.socket) -> None:
+        """Answer 503 on a connection no worker can take, then close it."""
+        _CONNECTIONS_REJECTED.inc()
+        service: FleetService = self.service  # type: ignore[attr-defined]
+        body = json.dumps(
+            {"error": f"connection limit ({self.max_connections}) reached; retry later"}
+        ).encode("utf-8")
+        head = (
+            "HTTP/1.1 503 Service Unavailable\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\n"
+            f"Retry-After: {service.retry_after_s:g}\r\n"
+            "Connection: close\r\n\r\n"
+        )
+        try:
+            request.sendall(head.encode("ascii") + body)
+        except OSError:
+            pass
+        self.shutdown_request(request)
+
+    def server_close(self) -> None:
+        """Close the listener and every connection, and stop the workers.
+
+        Shutting the read side of each open connection wakes a worker
+        waiting on an idle keep-alive socket at once (it reads EOF and
+        closes) instead of after :data:`READ_TIMEOUT_S`; a reply being
+        written still goes out.
+        """
+        super().server_close()
+        with self._pool_lock:
+            connections = list(self._open)
+            workers = self._workers
+        for request in connections:
+            try:
+                request.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass
+        for _ in range(workers):
+            self._handoff.put(None)
 
     def handle_error(self, request: object, client_address: Tuple[str, int]) -> None:
         exc = sys.exc_info()[1]
@@ -585,22 +721,30 @@ def serve(
     max_inflight_ingests: Optional[int] = None,
     retry_after_s: float = 1.0,
     quarantine_after: Optional[int] = None,
-) -> ThreadingHTTPServer:
+    max_connections: int = MAX_CONNECTIONS,
+) -> HTTPServer:
     """Build a ready-to-run HTTP server over ``scheduler``.
 
     Returns the bound (but not yet serving) server; call ``serve_forever()``
     — possibly in a thread — and ``shutdown()``/``server_close()`` when done.
     Bind to port 0 to let the OS pick a free port (``server.server_address``
-    then reports the real one).  Connections are served on daemon threads,
-    so a stalled client never prevents process exit.
+    then reports the real one).  Connections are served on daemon worker
+    threads, so a stalled client never prevents process exit, and
+    ``server_close()`` closes idle keep-alive connections at once.
 
     The keyword knobs are the degradation policy: ``max_body_bytes`` caps
     request payloads (413 beyond it), ``max_inflight_ingests`` bounds
     concurrent ingest evaluations (429 + ``Retry-After: retry_after_s``
-    beyond it), and ``quarantine_after`` cuts off a device (403) after that
-    many consecutive malformed ingests.
+    beyond it), ``quarantine_after`` cuts off a device (403) after that
+    many consecutive malformed ingests, and ``max_connections`` bounds the
+    connections served at once (503 + ``Retry-After: retry_after_s``
+    beyond it).
     """
-    server = _FleetHTTPServer((host, port), _FleetRequestHandler)
+    server = _FleetHTTPServer(
+        (host, port),
+        _FleetRequestHandler,
+        max_connections=max_connections,
+    )
     server.service = FleetService(  # type: ignore[attr-defined]
         scheduler,
         max_body_bytes=max_body_bytes,

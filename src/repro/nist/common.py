@@ -96,15 +96,20 @@ def to_bits(bits: BitsLike) -> np.ndarray:
 # words in :mod:`repro.engine.packed` deliberately use the opposite, little,
 # bit order — that is a compute-kernel layout, not an interchange format.)
 
-def pack_bits(bits: BitsLike) -> np.ndarray:
+def pack_bits(bits: BitsLike, *, validated: bool = False) -> np.ndarray:
     """Pack a bit sequence into bytes, MSB of each byte first.
 
     A trailing partial byte is zero-padded on the right; keep the original
     bit count alongside the bytes (as :meth:`CaptureSource.save
     <repro.trng.capture.CaptureSource.save>` does) and hand it to
     :func:`unpack_bits` for an exact round-trip at any length.
+
+    ``validated=True`` skips :func:`to_bits` for a uint8 array already
+    known to hold only 0/1 (the write-ahead journal packs chunks that
+    ingest validated a moment earlier); any other non-zero value would
+    pack as a 1 bit.
     """
-    arr = to_bits(bits)
+    arr = np.asarray(bits, dtype=np.uint8) if validated else to_bits(bits)
     if arr.size == 0:
         return np.zeros(0, dtype=np.uint8)
     return np.packbits(arr)

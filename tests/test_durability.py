@@ -45,7 +45,7 @@ from repro.fleet.durability import (
     replay_records,
     write_snapshot,
 )
-from repro.nist.common import unpack_bits
+from repro.nist.common import pack_bits, unpack_bits
 
 
 def make_fleet(streaming=False, devices=8, seed=5):
@@ -163,6 +163,31 @@ class TestIngestJournal:
             journal.append_round(2)
         records, torn = read_journal(path)
         assert torn and records == [{"t": "round", "index": 0}]
+
+    def test_only_validated_bits_reach_the_journal(self, tmp_path):
+        """The WAL packs the array ingest validated without re-checking it:
+        a non-0/1 chunk must fail before the append, and an accepted one
+        must frame exactly the bytes ``json.dumps`` writes for the record."""
+        scheduler = make_fleet(streaming=True)
+        a, b = scheduler.registry.device_ids()[:2]
+        path = tmp_path / "wal.00000000.jsonl"
+        scheduler.journal = IngestJournal(path)
+        good = np.random.default_rng(4).integers(0, 2, 100, dtype=np.uint8)
+        bad = [good * 2, "01" * 50 + "2", [0, 1, 2], np.full(8, 255, dtype=np.uint8)]
+        for chunk in bad:
+            with pytest.raises(ValueError):
+                scheduler.ingest(a, chunk, seq=0)
+        outcomes = scheduler.ingest_many([(a, chunk, 0) for chunk in bad] + [(b, good, 7)])
+        assert all(isinstance(outcome, ValueError) for outcome in outcomes[:-1])
+        assert isinstance(outcomes[-1], list)
+        scheduler.journal.close()
+        record = {
+            "t": "ingest", "device": b, "seq": 7, "nbits": 100,
+            "bits": base64.b64encode(pack_bits(good).tobytes()).decode("ascii"),
+        }
+        line = json.dumps(record, separators=(",", ":")).encode("utf-8")
+        assert path.read_bytes() == b"%08x " % zlib.crc32(line) + line + b"\n"
+        scheduler.close()
 
     def test_append_after_close_reopens(self, tmp_path):
         path = tmp_path / "wal.00000000.jsonl"

@@ -388,6 +388,251 @@ class TestKeepAlive:
             connection.close()
         assert elapsed < 0.4, f"20 keep-alive ingests took {elapsed:.3f} s"
 
+    def test_reply_goes_out_in_one_write(self, harness, monkeypatch):
+        """Headers and body leave in one send, not a header send plus a
+        body send."""
+        import socketserver
+
+        _, _, (host, port) = harness
+        writes = []
+        inner = socketserver._SocketWriter.write
+
+        def counting(writer, data):
+            writes.append(len(data))
+            return inner(writer, data)
+
+        monkeypatch.setattr(socketserver._SocketWriter, "write", counting)
+        connection = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            connection.request("GET", "/fleet/summary")
+            response = connection.getresponse()
+            body = response.read()
+        finally:
+            connection.close()
+        assert response.status == 200 and json.loads(body)["num_devices"] >= 0
+        assert writes == [writes[0]] and writes[0] > len(body)
+
+    def test_error_reply_says_connection_close(self, harness):
+        """A reply after which the server closes the socket says so, and a
+        keep-alive client goes on without a connection retry."""
+        base, _, (host, port) = harness
+        register(base, "close-dev")
+        connection = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            connection.request(
+                "POST", "/ingest", body=b"{not json",
+                headers={"Content-Type": "application/json"},
+            )
+            response = connection.getresponse()
+            assert response.status == 400
+            assert response.will_close
+            assert response.getheader("Connection") == "close"
+            response.read()
+            # http.client reopens the connection it was told is closing.
+            connection.request(
+                "POST", "/ingest",
+                body=json.dumps({"device_id": "close-dev", "bits": GOOD_BITS}),
+                headers={"Content-Type": "application/json"},
+            )
+            assert connection.getresponse().status == 200
+        finally:
+            connection.close()
+        before = _client_retries("connection")
+        with FleetClient(base, retries=2, backoff_s=0.01) as client:
+            with pytest.raises(FleetServiceError) as excinfo:
+                client.ingest("close-dev", "0x1")
+            assert excinfo.value.status == 400
+            assert client.ingest("close-dev", GOOD_BITS)["sequences"] == 1
+        assert _client_retries("connection") == before
+
+
+def _client_retries(reason):
+    from repro.fleet.client import _RETRIES
+
+    return _RETRIES.value(reason=reason)
+
+
+@pytest.fixture
+def fresh_server():
+    """A factory of private servers (``serve`` keyword arguments), each
+    torn down after the test; yields (server, base URL, (host, port))."""
+    started = []
+
+    def start(**kwargs):
+        scheduler = FleetScheduler(DeviceRegistry("n128_light", alpha=0.01))
+        server = serve(scheduler, host="127.0.0.1", port=0, **kwargs)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        started.append((server, scheduler, thread))
+        host, port = server.server_address
+        return server, f"http://{host}:{port}", (host, port)
+
+    yield start
+    for server, scheduler, thread in started:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+        scheduler.close()
+
+
+def _connection_threads(port):
+    prefix = f"fleet-connection-{port}-"
+    return [t for t in threading.enumerate() if t.name.startswith(prefix) and t.is_alive()]
+
+
+def _wait_for(predicate, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition not reached in time"
+        time.sleep(0.01)
+
+
+def _read_to_eof(sock):
+    reply = b""
+    while True:
+        chunk = sock.recv(4096)
+        if not chunk:
+            return reply
+        reply += chunk
+
+
+class TestConnectionPool:
+    def test_client_reuses_one_connection(self, fresh_server):
+        server, base, _ = fresh_server()
+        accepted = []
+        inner = server.process_request
+
+        def counting(request, client_address):
+            accepted.append(client_address)
+            return inner(request, client_address)
+
+        server.process_request = counting
+        with FleetClient(base, retries=0) as client:
+            client.register_device("reuse-dev")
+            for seq in range(20):
+                assert client.ingest("reuse-dev", GOOD_BITS, seq=seq)["last_seq"] == seq
+        assert len(accepted) == 1
+
+    def test_idle_close_costs_no_retry(self, fresh_server, monkeypatch):
+        monkeypatch.setattr(service_module._FleetRequestHandler, "timeout", 0.2)
+        server, base, _ = fresh_server()
+        before = _client_retries("connection")
+        with FleetClient(base, retries=0) as client:
+            client.register_device("idle-dev")
+            # The server times the idle keep-alive connection out and
+            # closes it; the next request must reconnect, not fail.
+            _wait_for(lambda: not server._open)
+            assert client.ingest("idle-dev", GOOD_BITS)["sequences"] == 1
+        assert _client_retries("connection") == before
+
+    def test_connections_beyond_the_cap_get_503(self, fresh_server):
+        server, _, (host, port) = fresh_server(max_connections=4, retry_after_s=0.25)
+        rejected = service_module._CONNECTIONS_REJECTED.value()
+        idle = [socket.create_connection((host, port), timeout=10) for _ in range(4)]
+        try:
+            _wait_for(lambda: len(server._open) == 4)
+            for _ in range(2):
+                with socket.create_connection((host, port), timeout=10) as extra:
+                    reply = _read_to_eof(extra)
+                head, _, body = reply.partition(b"\r\n\r\n")
+                lines = head.decode("ascii").split("\r\n")
+                assert lines[0] == "HTTP/1.1 503 Service Unavailable"
+                assert "Retry-After: 0.25" in lines and "Connection: close" in lines
+                assert "connection limit (4)" in json.loads(body)["error"]
+            assert len(_connection_threads(port)) == 4
+            assert service_module._CONNECTIONS_REJECTED.value() == rejected + 2
+            # A freed slot is served again, by the same four workers.
+            idle.pop().close()
+            _wait_for(lambda: len(server._open) == 3)
+            connection = http.client.HTTPConnection(host, port, timeout=10)
+            try:
+                connection.request("GET", "/fleet/summary")
+                assert connection.getresponse().status == 200
+            finally:
+                connection.close()
+            assert len(_connection_threads(port)) == 4
+        finally:
+            for sock in idle:
+                sock.close()
+
+    def test_connect_burst_is_answered_without_stalls(self, fresh_server):
+        """A burst of connects beyond the cap is queued by the kernel and
+        answered at once, not dropped into ~1 s SYN retransmits."""
+        _, _, (host, port) = fresh_server(max_connections=4)
+        start = time.monotonic()
+        burst = [socket.create_connection((host, port), timeout=10) for _ in range(12)]
+        elapsed = time.monotonic() - start
+        try:
+            for sock in burst[4:]:
+                assert _read_to_eof(sock).startswith(b"HTTP/1.1 503 ")
+        finally:
+            for sock in burst:
+                sock.close()
+        assert elapsed < 0.9, f"12 connects took {elapsed:.2f} s"
+
+    def test_client_at_the_cap_reads_the_503(self, fresh_server):
+        """The server answers and closes before reading the request, so the
+        client's body send fails; the client still reads the 503 and
+        honours its Retry-After instead of counting a connection error."""
+        server, base, (host, port) = fresh_server(max_connections=1, retry_after_s=0.01)
+        with socket.create_connection((host, port), timeout=10):
+            _wait_for(lambda: len(server._open) == 1)
+            before = _client_retries("http_503"), _client_retries("connection")
+            with FleetClient(base, retries=1, backoff_s=0.01) as client:
+                with pytest.raises(FleetServiceError) as excinfo:
+                    client.ingest("nobody", GOOD_BITS)
+        assert excinfo.value.status == 503
+        assert "connection limit (1)" in excinfo.value.message
+        assert (_client_retries("http_503"), _client_retries("connection")) == (
+            before[0] + 1, before[1],
+        )
+
+    def test_close_ends_idle_keep_alive_connections_promptly(self, fresh_server):
+        server, base, (_, port) = fresh_server()
+        client = FleetClient(base, retries=0)
+        try:
+            client.fleet_summary()  # leaves one idle keep-alive connection
+            assert len(_connection_threads(port)) == 1
+            start = time.monotonic()
+            server.shutdown()
+            server.server_close()
+            _wait_for(lambda: not _connection_threads(port), timeout=2.0)
+            assert time.monotonic() - start < 2.0
+        finally:
+            client.close()
+
+    def test_one_client_shared_by_two_threads(self, fresh_server):
+        _, base, _ = fresh_server()
+        replies = {}
+        with FleetClient(base, retries=0) as client:
+            for device_id in ("share-a", "share-b"):
+                client.register_device(device_id)
+
+            def feed(device_id):
+                replies[device_id] = [
+                    client.ingest(device_id, GOOD_BITS, seq=seq) for seq in range(15)
+                ]
+
+            threads = [
+                threading.Thread(target=feed, args=(device_id,))
+                for device_id in ("share-a", "share-b")
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            for device_id in ("share-a", "share-b"):
+                got = replies[device_id]
+                assert [r["device_id"] for r in got] == [device_id] * 15
+                assert [r["last_seq"] for r in got] == list(range(15))
+                assert client.device_health(device_id)["sequences_monitored"] == 15
+
+    def test_max_connections_must_be_positive(self):
+        scheduler = FleetScheduler(DeviceRegistry("n128_light", alpha=0.01))
+        with pytest.raises(ValueError):
+            serve(scheduler, host="127.0.0.1", port=0, max_connections=0)
+        scheduler.close()
+
 
 class TestRegistrationValidation:
     @pytest.mark.parametrize(
@@ -488,3 +733,5 @@ class TestFleetClient:
     def test_client_validation(self):
         with pytest.raises(ValueError):
             FleetClient("http://x", retries=-1)
+        with pytest.raises(ValueError):
+            FleetClient("ftp://x")
