@@ -293,11 +293,13 @@ def _closed_by_peer(sock: socket.socket) -> bool:
 
     Between replies nothing may arrive, so a readable socket means the
     server closed it (EOF) or broke the protocol; either way it must not
-    carry the next request.  A socket ``select`` cannot watch counts as
-    unusable too: reconnecting is always safe.
+    carry the next request.  ``poll`` has no descriptor limit (``select``
+    fails from fd 1024 on); a socket it cannot watch counts as unusable,
+    since reconnecting is always safe.
     """
+    poller = select.poll()
     try:
-        readable, _, _ = select.select([sock], [], [], 0)
-    except (OSError, ValueError):
+        poller.register(sock, select.POLLIN)
+        return bool(poller.poll(0))
+    except OSError:
         return True
-    return bool(readable)

@@ -35,18 +35,20 @@ logger — one INFO line per request with method, path, status and latency —
 instead of ``http.server``'s raw stderr lines (the CLI's ``fleet serve``
 wires a handler; ``--quiet`` drops it to warnings only).
 
-Connections are HTTP/1.1 keep-alive and are served by a bounded pool of
-daemon connection workers: at most :data:`MAX_CONNECTIONS` at once (the
-``max_connections`` argument of :func:`serve`), each worker serving one
-connection until it closes.  A connection accepted while every worker is
-busy is answered ``503`` with ``Retry-After`` and ``Connection: close`` and
-closed, so hostile or idle clients cannot grow the server's threads without
-bound.  Every socket read and write times out after :data:`READ_TIMEOUT_S`
-— an idle keep-alive connection is closed, a stalled body is answered with
-408 — and a connection that dies outside a response is logged as one
-WARNING line and counted, never printed as a traceback.  Each reply goes
-out in one send (headers and body together), and every reply after which
-the server closes the connection says ``Connection: close``.
+Connections are HTTP/1.1 keep-alive, one daemon thread each, and at most
+:data:`MAX_CONNECTIONS` are served at once.  At the cap, a new connection
+takes the slot of the longest-idle keep-alive connection (one that has been
+served and waits for its next request): that connection is closed, and its
+client reconnects on its next request.  With no idle connection to close,
+the new one is answered ``503`` with ``Retry-After`` and ``Connection:
+close`` and closed, so hostile or stalled clients cannot grow the server's
+threads without bound.  Every socket read and write times out after
+:data:`READ_TIMEOUT_S` — an idle keep-alive connection is closed, a stalled
+body is answered with 408 — and a connection that dies outside a response
+is logged as one WARNING line and counted, never printed as a traceback.
+Replies are buffered, so headers and body leave in one send, and every
+reply after which the server closes the connection says ``Connection:
+close``.
 
 Lock holds are bounded: requests take the scheduler's re-entrant lock — the
 same lock :meth:`~repro.fleet.scheduler.FleetScheduler.run_round` holds —
@@ -61,13 +63,12 @@ from __future__ import annotations
 
 import json
 import logging
-import queue
 import re
 import socket
 import sys
 import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Type
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Dict, Optional, Sequence, Set, Tuple, Type
 from urllib.parse import unquote, urlsplit
 
 import repro.obs as obs
@@ -113,11 +114,11 @@ _CONNECTION_ERRORS = obs.counter(
 )
 _CONNECTIONS_OPEN = obs.gauge(
     "repro_service_connections_open",
-    "Connections currently held by a fleet-service connection worker.",
+    "Connections currently open on the fleet service.",
 )
 _CONNECTIONS_REJECTED = obs.counter(
     "repro_service_connections_rejected_total",
-    "Connections answered 503 and closed because every connection worker was busy.",
+    "Connections answered 503 and closed because the service was at MAX_CONNECTIONS.",
 )
 
 #: Known route templates, so the request counter's cardinality stays fixed
@@ -146,8 +147,10 @@ def _route_label(path: str) -> str:
 #: server thread; an idle keep-alive connection closes after it too.
 READ_TIMEOUT_S = 10.0
 
-#: Connection workers of one server: the most connections served at once.
-#: A connection beyond it gets 503 + ``Retry-After`` and is closed.
+#: The most connections (and connection threads) one server holds at once;
+#: read when the server is built.  Beyond it the longest-idle keep-alive
+#: connection is closed to make room, or, with none idle, the new
+#: connection gets 503 + ``Retry-After`` and is closed.
 MAX_CONNECTIONS = 64
 
 #: Cap on accepted request bodies (a 2^20-bit design ingest is ~1 MiB of
@@ -459,14 +462,33 @@ class _FleetRequestHandler(BaseHTTPRequestHandler):
     server_version = "repro-fleet/1.0"
     protocol_version = "HTTP/1.1"
     timeout = READ_TIMEOUT_S
-    # http.server's own error replies (send_error) still go out in two
-    # sends; with Nagle on, a keep-alive client would wait for the delayed
-    # ACK of the first (~40 ms).
+    # Buffer each reply: handle_one_request's flush sends headers and body
+    # together (send_error's too) instead of a header send plus a body send.
+    wbufsize = -1
+    # A reply larger than the write buffer still leaves in several sends;
+    # with Nagle on, a keep-alive client would wait for the delayed ACK of
+    # the first (~40 ms).
     disable_nagle_algorithm = True
 
     @property
     def service(self) -> FleetService:
         return self.server.service  # type: ignore[attr-defined]
+
+    def handle_one_request(self) -> None:
+        super().handle_one_request()
+        if not self.close_connection:
+            # Served; now waiting for the next request line.
+            self.server.mark_idle(self.connection)  # type: ignore[attr-defined]
+
+    def parse_request(self) -> bool:
+        self.server.mark_busy(self.connection)  # type: ignore[attr-defined]
+        return super().parse_request()
+
+    def handle_expect_100(self) -> bool:
+        super().handle_expect_100()
+        # The client holds the body back until this interim reply arrives.
+        self.wfile.flush()
+        return True
 
     def _send_body(
         self,
@@ -484,13 +506,8 @@ class _FleetRequestHandler(BaseHTTPRequestHandler):
             # A keep-alive client must learn from the reply, not from a
             # broken pipe on its next request, that this socket is done.
             self.send_header("Connection", "close")
-        # The header lines are buffered (none for an HTTP/0.9 request);
-        # write them, the blank line and the body in one send.
-        head = getattr(self, "_headers_buffer", [])
-        self._headers_buffer: List[bytes] = []
-        if head:
-            head.append(b"\r\n")
-        self.wfile.write(b"".join([*head, body]))
+        self.end_headers()
+        self.wfile.write(body)
 
     def _read_json(self) -> Dict[str, object]:
         try:
@@ -590,78 +607,78 @@ class _FleetRequestHandler(BaseHTTPRequestHandler):
         logger.debug(format, *args)
 
 
-class _FleetHTTPServer(HTTPServer):
-    """An HTTP server whose connections are served by a bounded worker pool.
+class _FleetHTTPServer(ThreadingHTTPServer):
+    """One daemon thread per connection, at most :data:`MAX_CONNECTIONS`.
 
-    The accept loop hands each connection to an idle daemon worker, starting
-    a new one while fewer than ``max_connections`` exist; a worker serves
-    its connection until it closes, then waits for the next.  With every
-    worker busy, the accept loop answers 503 itself and closes the
-    connection.  Connection errors become one log line and a counter
-    instead of a traceback on stderr.
+    At the cap, a new connection closes the longest-idle keep-alive
+    connection and takes its slot once that connection's thread has ended;
+    with no idle connection to close, it gets 503.  Connection errors
+    become one log line and a counter instead of a traceback on stderr.
     """
 
+    daemon_threads = True
     # socketserver's default listen backlog of 5 drops the SYNs of a burst
     # of connects (each client then stalls ~1 s to retransmit) even though
     # the accept loop admits or rejects each connection at once.
     request_queue_size = socket.SOMAXCONN
 
     def __init__(
-        self,
-        address: Tuple[str, int],
-        handler: Type[BaseHTTPRequestHandler],
-        max_connections: int,
+        self, address: Tuple[str, int], handler: Type[BaseHTTPRequestHandler]
     ):
-        if max_connections <= 0:
-            raise ValueError("max_connections must be positive")
         super().__init__(address, handler)
-        self.max_connections = max_connections
-        self._pool_lock = threading.Lock()
-        self._workers = 0
+        self.max_connections = MAX_CONNECTIONS
+        self._slots = threading.Condition()
         self._open: Set[socket.socket] = set()
-        self._handoff: "queue.SimpleQueue[Optional[Tuple[socket.socket, Tuple[str, int]]]]" = (
-            queue.SimpleQueue()
-        )
+        # Served keep-alive connections waiting for their next request,
+        # longest-idle first (a dict keeps insertion order).
+        self._idle: Dict[socket.socket, None] = {}
+
+    def mark_idle(self, request: socket.socket) -> None:
+        with self._slots:
+            self._idle[request] = None
+
+    def mark_busy(self, request: socket.socket) -> None:
+        with self._slots:
+            self._idle.pop(request, None)
 
     def process_request(  # type: ignore[override]
         self, request: socket.socket, client_address: Tuple[str, int]
     ) -> None:
-        with self._pool_lock:
+        with self._slots:
+            if len(self._open) >= self.max_connections and self._idle:
+                longest_idle = next(iter(self._idle))
+                del self._idle[longest_idle]
+                try:
+                    # Its thread reads EOF, closes and frees the slot.
+                    longest_idle.shutdown(socket.SHUT_RD)
+                except OSError:
+                    pass
+                self._slots.wait_for(
+                    lambda: len(self._open) < self.max_connections, timeout=1.0
+                )
             admitted = len(self._open) < self.max_connections
             if admitted:
                 self._open.add(request)
-                if self._workers < len(self._open):
-                    threading.Thread(
-                        target=self._serve_connections,
-                        name=f"fleet-connection-{self.server_address[1]}-{self._workers}",
-                        daemon=True,
-                    ).start()
-                    self._workers += 1
         if not admitted:
             self._reject(request)
             return
         _CONNECTIONS_OPEN.add(1.0)
-        self._handoff.put((request, client_address))
+        super().process_request(request, client_address)
 
-    def _serve_connections(self) -> None:
-        """One worker: serve handed-off connections until the None sentinel."""
-        while True:
-            item = self._handoff.get()
-            if item is None:
-                return
-            request, client_address = item
-            try:
-                self.finish_request(request, client_address)
-            except Exception:
-                self.handle_error(request, client_address)
-            finally:
-                self.shutdown_request(request)
-                with self._pool_lock:
-                    self._open.discard(request)
-                _CONNECTIONS_OPEN.add(-1.0)
+    def shutdown_request(self, request: socket.socket) -> None:  # type: ignore[override]
+        # Close before freeing the slot, so a client whose idle connection
+        # made room sees the close before the newcomer is served.
+        super().shutdown_request(request)
+        with self._slots:
+            admitted = request in self._open
+            self._open.discard(request)
+            self._idle.pop(request, None)
+            self._slots.notify_all()
+        if admitted:
+            _CONNECTIONS_OPEN.add(-1.0)
 
     def _reject(self, request: socket.socket) -> None:
-        """Answer 503 on a connection no worker can take, then close it."""
+        """Answer 503 on a connection over the cap, then close it."""
         _CONNECTIONS_REJECTED.inc()
         service: FleetService = self.service  # type: ignore[attr-defined]
         body = json.dumps(
@@ -681,24 +698,19 @@ class _FleetHTTPServer(HTTPServer):
         self.shutdown_request(request)
 
     def server_close(self) -> None:
-        """Close the listener and every connection, and stop the workers.
+        """Close the listener, then the read side of every open connection.
 
-        Shutting the read side of each open connection wakes a worker
-        waiting on an idle keep-alive socket at once (it reads EOF and
-        closes) instead of after :data:`READ_TIMEOUT_S`; a reply being
+        A thread waiting on an idle keep-alive connection reads EOF and
+        ends at once instead of after :data:`READ_TIMEOUT_S`; a reply being
         written still goes out.
         """
         super().server_close()
-        with self._pool_lock:
-            connections = list(self._open)
-            workers = self._workers
-        for request in connections:
-            try:
-                request.shutdown(socket.SHUT_RD)
-            except OSError:
-                pass
-        for _ in range(workers):
-            self._handoff.put(None)
+        with self._slots:
+            for request in self._open:
+                try:
+                    request.shutdown(socket.SHUT_RD)
+                except OSError:
+                    pass
 
     def handle_error(self, request: object, client_address: Tuple[str, int]) -> None:
         exc = sys.exc_info()[1]
@@ -721,30 +733,26 @@ def serve(
     max_inflight_ingests: Optional[int] = None,
     retry_after_s: float = 1.0,
     quarantine_after: Optional[int] = None,
-    max_connections: int = MAX_CONNECTIONS,
-) -> HTTPServer:
+) -> ThreadingHTTPServer:
     """Build a ready-to-run HTTP server over ``scheduler``.
 
     Returns the bound (but not yet serving) server; call ``serve_forever()``
     — possibly in a thread — and ``shutdown()``/``server_close()`` when done.
     Bind to port 0 to let the OS pick a free port (``server.server_address``
-    then reports the real one).  Connections are served on daemon worker
-    threads, so a stalled client never prevents process exit, and
-    ``server_close()`` closes idle keep-alive connections at once.
+    then reports the real one).  Connections are served on daemon threads,
+    at most :data:`MAX_CONNECTIONS` at once, so a stalled client never
+    prevents process exit; ``server_close()`` closes idle keep-alive
+    connections at once.
 
     The keyword knobs are the degradation policy: ``max_body_bytes`` caps
     request payloads (413 beyond it), ``max_inflight_ingests`` bounds
     concurrent ingest evaluations (429 + ``Retry-After: retry_after_s``
-    beyond it), ``quarantine_after`` cuts off a device (403) after that
-    many consecutive malformed ingests, and ``max_connections`` bounds the
-    connections served at once (503 + ``Retry-After: retry_after_s``
-    beyond it).
+    beyond it), and ``quarantine_after`` cuts off a device (403) after that
+    many consecutive malformed ingests.  A connection beyond
+    :data:`MAX_CONNECTIONS` that no idle one makes room for also gets
+    ``Retry-After: retry_after_s`` (with 503).
     """
-    server = _FleetHTTPServer(
-        (host, port),
-        _FleetRequestHandler,
-        max_connections=max_connections,
-    )
+    server = _FleetHTTPServer((host, port), _FleetRequestHandler)
     server.service = FleetService(  # type: ignore[attr-defined]
         scheduler,
         max_body_bytes=max_body_bytes,

@@ -10,6 +10,8 @@ ingest over HTTP, and the client-side half of those contracts.
 import http.client
 import json
 import logging
+import os
+import resource
 import socket
 import struct
 import threading
@@ -390,27 +392,50 @@ class TestKeepAlive:
 
     def test_reply_goes_out_in_one_write(self, harness, monkeypatch):
         """Headers and body leave in one send, not a header send plus a
-        body send."""
-        import socketserver
-
+        body send, for the service's replies and http.server's own."""
         _, _, (host, port) = harness
-        writes = []
-        inner = socketserver._SocketWriter.write
+        sends = []
+        for name in ("send", "sendall"):
+            inner = getattr(socket.socket, name)
 
-        def counting(writer, data):
-            writes.append(len(data))
-            return inner(writer, data)
+            def counting(sock, data, *args, _inner=inner):
+                if sock.getsockname()[1] == port:  # the server's side only
+                    sends.append(len(data))
+                return _inner(sock, data, *args)
 
-        monkeypatch.setattr(socketserver._SocketWriter, "write", counting)
+            monkeypatch.setattr(socket.socket, name, counting)
         connection = http.client.HTTPConnection(host, port, timeout=10)
         try:
             connection.request("GET", "/fleet/summary")
             response = connection.getresponse()
             body = response.read()
+            assert response.status == 200 and json.loads(body)["num_devices"] >= 0
+            assert sends == [sends[0]] and sends[0] > len(body)
+            sends.clear()
+            connection.request("PUT", "/fleet/summary")  # send_error(501)
+            response = connection.getresponse()
+            body = response.read()
+            assert response.status == 501 and response.will_close
+            assert sends == [sends[0]] and sends[0] > len(body)
         finally:
             connection.close()
-        assert response.status == 200 and json.loads(body)["num_devices"] >= 0
-        assert writes == [writes[0]] and writes[0] > len(body)
+
+    def test_expect_100_continue_is_answered_at_once(self, harness):
+        """The interim 100 reply is sent before the body is read, not left
+        in the write buffer while the client waits for it."""
+        base, _, (host, port) = harness
+        register(base, "continue-dev")
+        body = json.dumps({"device_id": "continue-dev", "bits": GOOD_BITS}).encode()
+        with socket.create_connection((host, port), timeout=10) as sock:
+            sock.sendall(
+                b"POST /ingest HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Type: application/json\r\nExpect: 100-continue\r\n"
+                b"Content-Length: %d\r\n\r\n" % len(body)
+            )
+            sock.settimeout(2)
+            assert sock.recv(4096).startswith(b"HTTP/1.1 100 Continue\r\n")
+            sock.sendall(body)
+            assert sock.recv(4096).startswith(b"HTTP/1.1 200 OK\r\n")
 
     def test_error_reply_says_connection_close(self, harness):
         """A reply after which the server closes the socket says so, and a
@@ -475,9 +500,35 @@ def fresh_server():
         scheduler.close()
 
 
-def _connection_threads(port):
-    prefix = f"fleet-connection-{port}-"
-    return [t for t in threading.enumerate() if t.name.startswith(prefix) and t.is_alive()]
+class _ConnectionThreads:
+    """Counts a server's connection threads: those running now, and the
+    most that ever ran at once."""
+
+    def __init__(self, server):
+        self._lock = threading.Lock()
+        self._running = set()
+        self.peak = 0
+        run, shut = server.process_request_thread, server.shutdown_request
+
+        def running(request, client_address):
+            with self._lock:
+                self._running.add(request)
+                self.peak = max(self.peak, len(self._running))
+            run(request, client_address)
+
+        def shutting(request):
+            # Counted out before the server frees the connection's slot.
+            with self._lock:
+                self._running.discard(request)
+            shut(request)
+
+        server.process_request_thread = running
+        server.shutdown_request = shutting
+
+    @property
+    def running(self):
+        with self._lock:
+            return len(self._running)
 
 
 def _wait_for(predicate, timeout=5.0):
@@ -525,12 +576,16 @@ class TestConnectionPool:
             assert client.ingest("idle-dev", GOOD_BITS)["sequences"] == 1
         assert _client_retries("connection") == before
 
-    def test_connections_beyond_the_cap_get_503(self, fresh_server):
-        server, _, (host, port) = fresh_server(max_connections=4, retry_after_s=0.25)
+    def test_connections_beyond_the_cap_get_503(self, fresh_server, monkeypatch):
+        monkeypatch.setattr(service_module, "MAX_CONNECTIONS", 4)
+        server, _, (host, port) = fresh_server(retry_after_s=0.25)
+        threads = _ConnectionThreads(server)
         rejected = service_module._CONNECTIONS_REJECTED.value()
+        # Connections that never sent a request are not idle keep-alive
+        # connections, so none of them is closed to make room.
         idle = [socket.create_connection((host, port), timeout=10) for _ in range(4)]
         try:
-            _wait_for(lambda: len(server._open) == 4)
+            _wait_for(lambda: threads.running == 4)
             for _ in range(2):
                 with socket.create_connection((host, port), timeout=10) as extra:
                     reply = _read_to_eof(extra)
@@ -539,9 +594,9 @@ class TestConnectionPool:
                 assert lines[0] == "HTTP/1.1 503 Service Unavailable"
                 assert "Retry-After: 0.25" in lines and "Connection: close" in lines
                 assert "connection limit (4)" in json.loads(body)["error"]
-            assert len(_connection_threads(port)) == 4
+            assert threads.running == 4
             assert service_module._CONNECTIONS_REJECTED.value() == rejected + 2
-            # A freed slot is served again, by the same four workers.
+            # A freed slot is served again.
             idle.pop().close()
             _wait_for(lambda: len(server._open) == 3)
             connection = http.client.HTTPConnection(host, port, timeout=10)
@@ -550,15 +605,40 @@ class TestConnectionPool:
                 assert connection.getresponse().status == 200
             finally:
                 connection.close()
-            assert len(_connection_threads(port)) == 4
         finally:
             for sock in idle:
                 sock.close()
+        assert threads.peak == 4
 
-    def test_connect_burst_is_answered_without_stalls(self, fresh_server):
+    def test_idle_keep_alive_connection_makes_room(self, fresh_server, monkeypatch):
+        """More keep-alive clients than the cap are all served: a newcomer
+        closes the longest-idle connection, whose client reconnects on its
+        next request without a retry."""
+        monkeypatch.setattr(service_module, "MAX_CONNECTIONS", 2)
+        server, base, _ = fresh_server()
+        threads = _ConnectionThreads(server)
+        counts = lambda: (  # noqa: E731
+            _client_retries("connection"),
+            _client_retries("http_503"),
+            service_module._CONNECTIONS_REJECTED.value(),
+        )
+        before = counts()
+        clients = [FleetClient(base, retries=0) for _ in range(3)]
+        try:
+            for _ in range(3):
+                for client in clients:
+                    assert client.fleet_summary()["num_devices"] == 0
+        finally:
+            for client in clients:
+                client.close()
+        assert counts() == before
+        assert threads.peak == 2
+
+    def test_connect_burst_is_answered_without_stalls(self, fresh_server, monkeypatch):
         """A burst of connects beyond the cap is queued by the kernel and
         answered at once, not dropped into ~1 s SYN retransmits."""
-        _, _, (host, port) = fresh_server(max_connections=4)
+        monkeypatch.setattr(service_module, "MAX_CONNECTIONS", 4)
+        _, _, (host, port) = fresh_server()
         start = time.monotonic()
         burst = [socket.create_connection((host, port), timeout=10) for _ in range(12)]
         elapsed = time.monotonic() - start
@@ -570,11 +650,12 @@ class TestConnectionPool:
                 sock.close()
         assert elapsed < 0.9, f"12 connects took {elapsed:.2f} s"
 
-    def test_client_at_the_cap_reads_the_503(self, fresh_server):
+    def test_client_at_the_cap_reads_the_503(self, fresh_server, monkeypatch):
         """The server answers and closes before reading the request, so the
         client's body send fails; the client still reads the 503 and
         honours its Retry-After instead of counting a connection error."""
-        server, base, (host, port) = fresh_server(max_connections=1, retry_after_s=0.01)
+        monkeypatch.setattr(service_module, "MAX_CONNECTIONS", 1)
+        server, base, (host, port) = fresh_server(retry_after_s=0.01)
         with socket.create_connection((host, port), timeout=10):
             _wait_for(lambda: len(server._open) == 1)
             before = _client_retries("http_503"), _client_retries("connection")
@@ -588,15 +669,16 @@ class TestConnectionPool:
         )
 
     def test_close_ends_idle_keep_alive_connections_promptly(self, fresh_server):
-        server, base, (_, port) = fresh_server()
+        server, base, _ = fresh_server()
+        threads = _ConnectionThreads(server)
         client = FleetClient(base, retries=0)
         try:
             client.fleet_summary()  # leaves one idle keep-alive connection
-            assert len(_connection_threads(port)) == 1
+            assert threads.running == 1
             start = time.monotonic()
             server.shutdown()
             server.server_close()
-            _wait_for(lambda: not _connection_threads(port), timeout=2.0)
+            _wait_for(lambda: threads.running == 0, timeout=2.0)
             assert time.monotonic() - start < 2.0
         finally:
             client.close()
@@ -626,12 +708,6 @@ class TestConnectionPool:
                 assert [r["device_id"] for r in got] == [device_id] * 15
                 assert [r["last_seq"] for r in got] == list(range(15))
                 assert client.device_health(device_id)["sequences_monitored"] == 15
-
-    def test_max_connections_must_be_positive(self):
-        scheduler = FleetScheduler(DeviceRegistry("n128_light", alpha=0.01))
-        with pytest.raises(ValueError):
-            serve(scheduler, host="127.0.0.1", port=0, max_connections=0)
-        scheduler.close()
 
 
 class TestRegistrationValidation:
@@ -729,6 +805,25 @@ class TestFleetClient:
             client.fleet_summary()
         assert excinfo.value.status == 503
         assert "unreachable" in excinfo.value.message
+
+    def test_idle_check_works_past_fd_1024(self):
+        """The idle-connection check is not limited to select's
+        descriptors below 1024, so keep-alive survives many open files."""
+        from repro.fleet.client import _closed_by_peer
+
+        high = 1500
+        if resource.getrlimit(resource.RLIMIT_NOFILE)[0] <= high:
+            pytest.skip("open-file limit too low for a descriptor past 1024")
+        ours, theirs = socket.socketpair()
+        try:
+            os.dup2(ours.fileno(), high)
+            with socket.socket(fileno=high) as sock:
+                assert not _closed_by_peer(sock)
+                theirs.close()
+                assert _closed_by_peer(sock)
+        finally:
+            ours.close()
+            theirs.close()
 
     def test_client_validation(self):
         with pytest.raises(ValueError):
